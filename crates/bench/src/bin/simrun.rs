@@ -39,7 +39,7 @@
 //! (a schema round-trip check on every dump) and prints the rendered
 //! cache report. `--cachescope-period N` additionally samples a
 //! full-cache occupancy snapshot every `N` committed instructions.
-//! Unlike the telemetry flags, a cachescope keeps the fast-forward loop;
+//! Unlike the telemetry flags, a cachescope keeps the host shortcuts on;
 //! it cannot be combined with them in one run (one observability stream
 //! per invocation, so each path stays bit-identical to its tests).
 //!

@@ -1,6 +1,6 @@
 //! Shared command-line parsing helpers for the harness binaries.
 //!
-//! The binaries (`repro`, `simrun`, `simbench`) parse their flags by
+//! The binaries (`repro`, `simrun`, `tracegen`) parse their flags by
 //! hand; historically a misspelled flag was *silently ignored*
 //! (`simrun`) or mis-filed as an experiment id (`repro`), so
 //! `--cachescope-peroid 100` ran a full simulation with the option

@@ -1,8 +1,8 @@
 //! Cachescope experiment: per-app × design × governor cache reports.
 //!
-//! Every cell runs with a [`ehs_sim::CachescopeConfig`] attached — still
-//! on the fast-forward loop, since cachescope does not force the
-//! reference loop — and folds the probe stream into occupancy,
+//! Every cell runs with a [`ehs_sim::CachescopeConfig`] attached — with
+//! the host shortcuts still on, since cachescope does not switch them
+//! off — and folds the probe stream into occupancy,
 //! compressibility, lifetime and latency-attribution aggregates. The
 //! canonical cell per app (NVSRAMCache × ACC+Kagura) additionally
 //! samples periodic full-cache occupancy snapshots and, under

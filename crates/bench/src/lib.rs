@@ -186,29 +186,6 @@ pub fn gmean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-/// Geometric mean over the finite, strictly positive entries only,
-/// returning how many entries were excluded. Zero and non-finite rows
-/// (e.g. `reference_ips == 0` under `simbench --skip-reference`) would
-/// otherwise poison the aggregate — the old clamp-to-1e-12 behaviour
-/// dragged a geomean of healthy multi-M IPS rows toward zero.
-/// Returns `(0.0, excluded)` when nothing qualifies.
-pub fn gmean_filtered(xs: impl IntoIterator<Item = f64>) -> (f64, u64) {
-    let (mut sum, mut n, mut excluded) = (0.0f64, 0u64, 0u64);
-    for x in xs {
-        if x.is_finite() && x > 0.0 {
-            sum += x.ln();
-            n += 1;
-        } else {
-            excluded += 1;
-        }
-    }
-    if n == 0 {
-        (0.0, excluded)
-    } else {
-        ((sum / n as f64).exp(), excluded)
-    }
-}
-
 /// Arithmetic mean.
 ///
 /// # Panics
@@ -266,16 +243,6 @@ mod tests {
     fn means() {
         assert!((gmean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert_eq!(amean(&[1.0, 3.0]), 2.0);
-    }
-
-    #[test]
-    fn filtered_gmean_skips_poison_rows() {
-        // The degenerate rows must not drag the aggregate down.
-        let (g, excluded) = gmean_filtered([1.0, 4.0, 0.0, f64::NAN, f64::INFINITY, -3.0]);
-        assert!((g - 2.0).abs() < 1e-12, "got {g}");
-        assert_eq!(excluded, 4);
-        assert_eq!(gmean_filtered([0.0, f64::NAN]), (0.0, 2));
-        assert_eq!(gmean_filtered([]), (0.0, 0));
     }
 
     #[test]

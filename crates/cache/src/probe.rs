@@ -3,7 +3,7 @@
 //! A [`CacheProbe`] is the cache-microarchitecture twin of the simulator's
 //! flight recorder: the cache holds `Option<Box<dyn CacheProbe>>` and every
 //! report site is one untaken branch when detached, so the default
-//! configuration pays nothing (the simbench throughput gate pins this).
+//! configuration pays nothing (perfbench's probe-free `sim_mips` tracks it).
 //! When attached, the cache reports every hit, fill and eviction with the
 //! segment-level detail — compressed footprint, set index, reuse and
 //! lifetime in recency ticks — that end-of-run [`CacheStats`] totals

@@ -12,8 +12,8 @@
 //! growing, so a runaway program cannot balloon host memory. Like every
 //! [`CacheProbe`], it is zero-cost when detached and purely event-driven —
 //! no per-instruction state — so an attached timeline keeps the
-//! fast-forward loop engaged and observes the identical record stream under
-//! either execution loop (the fastpath differential suite pins this).
+//! simulator's host shortcuts on and observes the identical record stream
+//! with them on or off (the fastpath differential suite pins this).
 //!
 //! Latency is reconstructed from a [`LatencyModel`] of architectural
 //! constants rather than read back from the simulator's ledger: the model
@@ -118,7 +118,7 @@ impl CacheProbe for AccessTimeline {
 
     fn on_hit_run(&mut self, set: u32, _full_segments: u32, n: u64) {
         // Contractually n MRU uncompressed hits of reuse 1 — expand so the
-        // stream matches what the reference loop reports one at a time.
+        // stream matches what unbatched execution reports one at a time.
         let latency = self.model.hit;
         for _ in 0..n {
             self.push(TimelineRecord { set, latency, hit: true, occ_delta: 0 });

@@ -14,12 +14,12 @@
 //! # Determinism
 //!
 //! Everything here is a pure fold over the probe event stream plus
-//! simulator state that both execution loops maintain identically, so a
-//! [`CachescopeReport`] is bit-identical between the fast-forward and
-//! reference loops (`tests/fastpath.rs` asserts this, along with
-//! `SimStats` equality and the exact cycle partition
+//! simulator state that the machine loop maintains identically with its
+//! host shortcuts on or off, so a [`CachescopeReport`] is bit-identical
+//! between the two [`crate::ExecMode`]s (`tests/fastpath.rs` asserts this,
+//! along with `SimStats` equality and the exact cycle partition
 //! `latency.total() == stats.total_cycles`). Unlike telemetry, an
-//! attached cachescope does *not* force the reference loop.
+//! attached cachescope does *not* switch the shortcuts off.
 
 use ehs_cache::SetOccupancy;
 use ehs_cache::{CacheConfig, CacheProbe, EvictionReason, ProbeEviction, ProbeFill, ProbeHit};
@@ -276,9 +276,10 @@ pub(crate) struct ScopeState {
     /// Committed instructions between occupancy snapshots; 0 disables.
     pub period: u64,
     /// Instructions until the next snapshot. Maintained exactly like the
-    /// EDBP scan countdown: the fast path's ALU batch is capped to
-    /// `countdown - 1` so the count never reaches 0 inside a batched run
-    /// and both loops fire snapshots on identical instruction boundaries.
+    /// EDBP scan countdown: a batched ALU run is capped to
+    /// `countdown - 1` so the count never reaches 0 inside it, and
+    /// snapshots fire on identical instruction boundaries with batching
+    /// on or off.
     pub snap_countdown: u64,
     /// Where the cycles went so far.
     pub attr: LatencyAttribution,

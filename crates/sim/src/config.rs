@@ -222,34 +222,24 @@ impl StepBudget {
     }
 }
 
-/// Which implementation of the step loop drives the simulation.
+/// Which host shortcuts the machine loop takes.
 ///
-/// Both modes are **byte-identical** in results by construction (the fast
-/// path only elides work that provably cannot change state — see
-/// DESIGN.md "Fast path" — and the differential tests in
-/// `crates/sim/tests/fastpath.rs` enforce it). `Reference` exists as the
-/// plainly-auditable baseline: one `step()` per instruction with every
-/// subsystem consulted unconditionally. It is what the fast path is
-/// validated and benchmarked against.
+/// There is one loop; the mode only switches its shortcuts, and both
+/// modes are **byte-identical** in results (the shortcuts only elide work
+/// that provably cannot change state — see DESIGN.md "Fast path" — and
+/// the differential tests in `crates/sim/tests/fastpath.rs` enforce it).
+/// `Reference` is the differential baseline: one step per instruction
+/// with every subsystem consulted unconditionally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
-    /// Event-driven fast-forward loop (the default): batches runs of
-    /// non-memory instructions and skips provably-dead subsystem calls.
+    /// Every shortcut on (the default): batches runs of ALU
+    /// instructions and skips provably-dead subsystem calls.
     #[default]
     FastForward,
-    /// Naive per-instruction loop, kept as the differential-testing and
-    /// benchmarking baseline.
+    /// Every shortcut off: no batching; shadow tags, oracle credit, full
+    /// cache read paths and voltage samples on every instruction. An
+    /// attached telemetry sink runs this way too.
     Reference,
-}
-
-impl ExecMode {
-    /// Short label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            ExecMode::FastForward => "fast-forward",
-            ExecMode::Reference => "reference",
-        }
-    }
 }
 
 /// Fixed runtime costs of the EHS designs (documented extrapolations; see
@@ -308,8 +298,8 @@ pub struct SimConfig {
     pub max_sim_time: SimTime,
     /// Cooperative watchdog budget ([`StepBudget::UNLIMITED`] by default).
     pub step_budget: StepBudget,
-    /// Step-loop implementation ([`ExecMode::FastForward`] by default;
-    /// results are byte-identical either way).
+    /// Host shortcuts of the machine loop ([`ExecMode::FastForward`] by
+    /// default; results are byte-identical either way).
     pub exec: ExecMode,
     /// Keep one [`CycleRecord`](crate::stats::CycleRecord) per completed
     /// power cycle in `SimStats::power_cycles` (on by default — the
@@ -455,7 +445,6 @@ mod tests {
         assert_eq!(ExecMode::default(), ExecMode::FastForward);
         let cfg = SimConfig::table1().with_exec(ExecMode::Reference);
         assert_eq!(cfg.exec, ExecMode::Reference);
-        assert_eq!(cfg.exec.label(), "reference");
     }
 
     #[test]

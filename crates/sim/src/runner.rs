@@ -137,8 +137,8 @@ pub fn run_program_with_telemetry(
 }
 
 /// Like [`run_program`] but with a cachescope attached; returns the
-/// cache-microarchitecture report alongside the stats. The fast-forward
-/// loop stays engaged (cachescope is not telemetry) and the stats are
+/// cache-microarchitecture report alongside the stats. The host
+/// shortcuts stay on (cachescope is not telemetry) and the stats are
 /// byte-identical to an unscoped run.
 ///
 /// Ideal (two-phase) specs scope only the replay phase — the recording
@@ -180,8 +180,8 @@ pub fn run_program_with_cachescope(
 
 /// Like [`run_program`] but with a leakscope access timeline attached to
 /// the data cache; returns the per-access timeline alongside the stats.
-/// The fast-forward loop stays engaged (the probe is event-driven) and
-/// the stats are byte-identical to an unprobed run.
+/// The host shortcuts stay on (the probe is event-driven) and the stats
+/// are byte-identical to an unprobed run.
 ///
 /// Ideal (two-phase) specs record the timeline only over the replay
 /// phase, mirroring [`run_program_with_cachescope`].

@@ -1,11 +1,12 @@
-//! Fast-forward loop certification: the event-driven fast path
+//! Host-shortcut certification: the machine loop with every shortcut on
 //! ([`ExecMode::FastForward`], the default) must be *bit-identical* to
-//! the naive one-`step()`-per-instruction reference loop
-//! ([`ExecMode::Reference`]) — same `SimStats` (every f64 energy
-//! accumulator included, so a single rounding difference fails), and the
-//! same architectural NVM image under fault injection.
+//! the same loop with every shortcut off ([`ExecMode::Reference`]: one
+//! step per instruction, every subsystem consulted) — same `SimStats`
+//! (every f64 energy accumulator included, so a single rounding
+//! difference fails), and the same architectural NVM image under fault
+//! injection.
 //!
-//! The matrix deliberately crosses the fast path's specialisations:
+//! The matrix deliberately crosses the shortcuts' specialisations:
 //! ALU-run batching (Sha is ALU-heavy), compression-heavy repacking
 //! (Jpegd), every EHS design (SweepCache exercises rollback re-seeks),
 //! voltage-triggered Kagura (batching disabled, per-instruction voltage
@@ -22,7 +23,7 @@ use ehs_sim::{
 use ehs_workloads::App;
 use kagura_core::{KaguraConfig, TriggerKind};
 
-/// Runs `app` under both loops and asserts identical stats.
+/// Runs `app` in both exec modes and asserts identical stats.
 fn assert_loops_match(app: App, scale: f64, cfg: &SimConfig) -> SimStats {
     let fast = ehs_sim::run_app(app, scale, &cfg.clone().with_exec(ExecMode::FastForward));
     let reference = ehs_sim::run_app(app, scale, &cfg.clone().with_exec(ExecMode::Reference));
@@ -76,7 +77,7 @@ fn fast_forward_matches_reference_for_voltage_triggered_kagura() {
 
 #[test]
 fn fast_forward_matches_reference_for_ideal_governors() {
-    // Oracle record + replay phases both run on the fast loop; the
+    // Oracle record + replay phases both run with shortcuts on; the
     // recording phase keeps shadow tags and deep-hit credit live.
     for gov in [GovernorSpec::IdealAcc, GovernorSpec::IdealAccKagura(Default::default())] {
         let cfg = SimConfig::table1().with_governor(gov);
@@ -106,7 +107,7 @@ fn fast_forward_matches_reference_with_instruction_budget() {
     assert_eq!(stats.executed_insts, 5_000);
 }
 
-/// Runs `app` with a cachescope under both loops and asserts identical
+/// Runs `app` with a cachescope in both exec modes and asserts identical
 /// stats *and* identical cachescope reports — counters, histograms,
 /// boundary rows, occupancy snapshots, latency attribution, all of it.
 fn assert_cachescope_matches(app: App, scale: f64, cfg: &SimConfig) {
@@ -131,7 +132,7 @@ fn assert_cachescope_matches(app: App, scale: f64, cfg: &SimConfig) {
     );
     assert_eq!(
         fast_rep, ref_rep,
-        "cachescope report diverged between loops: {app:?} gov={:?} ext={:?}",
+        "cachescope report diverged between exec modes: {app:?} gov={:?} ext={:?}",
         cfg.governor, cfg.extension
     );
     // The attribution buckets exactly partition the run's cycles.
@@ -183,9 +184,9 @@ fn cachescope_reports_match_under_edbp_and_sweepcache() {
 fn leakscope_attack_matches_between_loops() {
     // The whole attack — probe-by-probe attacker timeline, recovered
     // bytes, effort accounting and every f64 channel estimate — must be
-    // bit-identical whichever loop drives the probe micro-runs. One
+    // bit-identical whichever mode drives the probe micro-runs. One
     // attackable compressor and the randomized-threshold countermeasure
-    // (whose per-fill RNG draws must consume identically in both loops).
+    // (whose per-fill RNG draws must consume identically in both modes).
     let opts = LeakscopeOptions::default();
     for gov in [GovernorSpec::AlwaysCompress, GovernorSpec::RandThreshold(Default::default())] {
         let mut cfg = SimConfig::table1().with_governor(gov);
@@ -194,7 +195,7 @@ fn leakscope_attack_matches_between_loops() {
         let reference = ehs_sim::attack_cell(&cfg.clone().with_exec(ExecMode::Reference), &opts);
         assert_eq!(
             fast.probes, reference.probes,
-            "attacker timeline diverged between loops: gov={:?}",
+            "attacker timeline diverged between exec modes: gov={:?}",
             cfg.governor
         );
         assert_eq!(fast.mi_bits.to_bits(), reference.mi_bits.to_bits(), "gov={:?}", cfg.governor);
@@ -204,14 +205,18 @@ fn leakscope_attack_matches_between_loops() {
             "gov={:?}",
             cfg.governor
         );
-        assert_eq!(fast, reference, "attack report diverged between loops: gov={:?}", cfg.governor);
+        assert_eq!(
+            fast, reference,
+            "attack report diverged between exec modes: gov={:?}",
+            cfg.governor
+        );
     }
 }
 
 #[test]
 fn leak_timeline_matches_between_loops_and_never_perturbs() {
     // A real app (not a probe micro-kernel) with the per-access timeline
-    // attached: both loops must record the same accesses in the same
+    // attached: both modes must record the same accesses in the same
     // order, and attaching the probe must not perturb the run itself.
     let cfg = SimConfig::table1().with_governor(GovernorSpec::AccKagura(Default::default()));
     let program = App::Sha.build(0.004);
@@ -227,7 +232,7 @@ fn leak_timeline_matches_between_loops_and_never_perturbs() {
     let (fast, fast_tl) = run(ExecMode::FastForward);
     let (reference, ref_tl) = run(ExecMode::Reference);
     assert_eq!(fast, reference, "stats diverged with the leak timeline attached");
-    assert_eq!(fast_tl.records(), ref_tl.records(), "timeline records diverged between loops");
+    assert_eq!(fast_tl.records(), ref_tl.records(), "timeline records diverged between exec modes");
     assert_eq!(fast_tl.dropped(), ref_tl.dropped());
     assert!(!fast_tl.records().is_empty(), "timeline recorded nothing");
     let plain = ehs_sim::run_program(&program, &trace, &cfg);
@@ -237,7 +242,7 @@ fn leak_timeline_matches_between_loops_and_never_perturbs() {
 #[test]
 fn fault_injection_images_match_between_loops() {
     // Under injected faults (including the checkpoint-mutating kinds) the
-    // two loops must agree on both the stats and the post-run
+    // two modes must agree on both the stats and the post-run
     // architectural memory image, byte for byte.
     let program = App::Sha.build(0.004);
     let faults = [

@@ -30,15 +30,15 @@
 //!   through it for constant-memory population quantiles and bootstrap
 //!   confidence intervals.
 //! * [`spans`] — process-wide wall-clock spans (per experiment, per
-//!   simulation job) with the worker slot that ran them; drained by the
-//!   bench harness into `BENCH_harness.json`.
+//!   simulation job) with the worker slot that ran them; drained by
+//!   `repro --telemetry DIR` into `DIR/spans.json`.
 //!
 //! # Overhead contract
 //!
 //! Event emission sites compile to a branch on `Option::is_some` when
-//! telemetry is detached; the `run_app` criterion bench guards this at
-//! ≤ 2 % regression. Span creation with spans disabled is one relaxed
-//! atomic load (labels are built lazily).
+//! telemetry is detached; perfbench's end-to-end `sim_mips`, measured
+//! detached, tracks that cost. Span creation with spans disabled is one
+//! relaxed atomic load (labels are built lazily).
 
 pub mod event;
 pub mod fixed;
