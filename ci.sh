@@ -34,12 +34,13 @@ echo "== faultgrid smoke (crash-consistency gate) =="
 FAULTGRID_OUT="$(mktemp -d)"
 LEDGER_OUT="$(mktemp -d)"
 CACHESCOPE_OUT="$(mktemp -d)"
+LEAKSCOPE_OUT="$(mktemp -d)"
 RESUME_BASE="$(mktemp -d)"
 RESUME_CUT="$(mktemp -d)"
 FLEET_A="$(mktemp -d)"
 FLEET_B="$(mktemp -d)"
 SERVE_DIR="$(mktemp -d)"
-trap 'rm -rf "$FAULTGRID_OUT" "$LEDGER_OUT" "$CACHESCOPE_OUT" "$RESUME_BASE" "$RESUME_CUT" "$FLEET_A" "$FLEET_B" "$SERVE_DIR"' EXIT
+trap 'rm -rf "$FAULTGRID_OUT" "$LEDGER_OUT" "$CACHESCOPE_OUT" "$LEAKSCOPE_OUT" "$RESUME_BASE" "$RESUME_CUT" "$FLEET_A" "$FLEET_B" "$SERVE_DIR"' EXIT
 cargo run --release --offline -q -p kagura-bench --bin repro -- \
     faultgrid --scale 0.005 --apps sha,crc32 --out "$FAULTGRID_OUT" --quiet
 
@@ -56,20 +57,21 @@ cargo run --release --offline -q -p kagura-bench --bin repro -- \
     explain "$LEDGER_OUT" > /dev/null
 echo "ledger balanced across the smoke grid; flight records parse back"
 
-echo "== cachescope smoke (JSONL parse-back gate) =="
-# One instrumented run dumps a cachescope stream (boundary rows, sampled
-# occupancy snapshots, summary histograms); `repro explain` then parses
-# it back strictly — every line must round-trip or the command fails
-# with a file:line diagnostic naming the offending field. simrun itself
-# also re-parses its own dump before rendering, so this exercises the
-# schema gate twice.
+echo "== cachescope + flight-record smoke (JSONL parse-back gate) =="
+# One observed run dumps both a cachescope stream (boundary rows, sampled
+# occupancy snapshots, summary histograms) and a flight record; `repro
+# explain` then parses both back strictly — every line must round-trip
+# or the command fails with a file:line diagnostic naming the offending
+# field. simrun itself also re-parses its cachescope dump before
+# rendering, so this exercises that schema gate twice.
 cargo run --release --offline -q -p kagura-bench --bin simrun -- \
     sha --scale 0.02 --governor kagura \
-    --cachescope "$CACHESCOPE_OUT/cachescope_sha.jsonl" \
-    --cachescope-period 4096 > /dev/null 2>&1
-cargo run --release --offline -q -p kagura-bench --bin repro -- \
-    explain "$CACHESCOPE_OUT" > /dev/null
-echo "cachescope stream parses back strictly"
+    --cachescope "$CACHESCOPE_OUT/cachescope_sha.jsonl" --cachescope-period 4096 \
+    --flight-record "$CACHESCOPE_OUT/flight_sha.jsonl" > /dev/null 2>&1
+EXPLAINED="$(cargo run --release --offline -q -p kagura-bench --bin repro -- \
+    explain "$CACHESCOPE_OUT" 2>&1 > /dev/null)"
+grep -q "rendered 2 report(s)" <<< "$EXPLAINED"
+echo "cachescope and flight-record streams parse back strictly"
 
 echo "== leakscope smoke (timing side-channel gate) =="
 # The attack must recover the planted secret through C-PACK probe
@@ -77,8 +79,6 @@ echo "== leakscope smoke (timing side-channel gate) =="
 # reduce the measured mutual information on the same cell, and both
 # dumped streams must parse back strictly (simrun re-parses its own dump
 # before rendering; `repro explain` parses them again below).
-LEAKSCOPE_OUT="$(mktemp -d)"
-trap 'rm -rf "$FAULTGRID_OUT" "$LEDGER_OUT" "$CACHESCOPE_OUT" "$LEAKSCOPE_OUT" "$RESUME_BASE" "$RESUME_CUT" "$FLEET_A" "$FLEET_B" "$SERVE_DIR"' EXIT
 cargo run --release --offline -q -p kagura-bench --bin simrun -- \
     sha --algorithm cpack --governor always --leak-secret c4c4f33dc0ffee01 \
     --leakscope "$LEAKSCOPE_OUT/leakscope_cpack_always.jsonl" --json \

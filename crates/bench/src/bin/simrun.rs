@@ -29,9 +29,7 @@
 //! power cycle); `--flight-record FILE` writes only the decision-relevant
 //! subset ([`ehs_telemetry::Event::flight_relevant`]: per-cycle flight
 //! records, ledger imbalances, mode switches, threshold adjustments,
-//! estimator samples, reboots) — the stream `repro explain` renders. Any
-//! of these flags attaches telemetry to the simulator; without them the
-//! run takes the uninstrumented fast path.
+//! estimator samples, reboots) — the stream `repro explain` renders.
 //!
 //! `--cachescope FILE` attaches a cachescope (`ehs_sim::cachescope`) and
 //! writes its report — boundary rows, occupancy snapshots, aggregate
@@ -39,9 +37,10 @@
 //! (a schema round-trip check on every dump) and prints the rendered
 //! cache report. `--cachescope-period N` additionally samples a
 //! full-cache occupancy snapshot every `N` committed instructions.
-//! Unlike the telemetry flags, a cachescope keeps the host shortcuts on;
-//! it cannot be combined with them in one run (one observability stream
-//! per invocation, so each path stays bit-identical to its tests).
+//!
+//! Any mix of these flags observes one run: each attaches its observer to
+//! the same simulator, the host shortcuts stay on, and every stream is
+//! byte-identical to the one its flag writes alone.
 //!
 //! `--leakscope FILE` runs the compression timing side-channel attack
 //! (`ehs_sim::leakscope`) instead of the app: an attacker co-resident
@@ -50,8 +49,8 @@
 //! stream — guess timeline, recovered bytes, MI/capacity summary — is
 //! written as JSONL, parsed back strictly, and rendered. `--leak-secret
 //! HEX16` overrides the planted secret (exactly 8 bytes). The app
-//! positional only labels the stream; like `--cachescope`, it is one
-//! observability stream per run.
+//! positional only labels the stream; since no app runs, `--leakscope`
+//! refuses the flags that observe an app run.
 //!
 //! The energy-conservation ledger is always audited at power-cycle
 //! boundaries (violations are counted in the report); `--audit-strict`
@@ -77,9 +76,8 @@ use std::path::Path;
 use ehs_compress::Algorithm;
 use ehs_energy::{CapacitorConfig, PowerTrace, TraceKind};
 use ehs_sim::{
-    run_program, run_program_with_cachescope, run_program_with_telemetry, CachescopeConfig,
-    EhsDesign, Extension, FaultKind, GovernorSpec, LeakscopeOptions, SimConfig, SimStats,
-    Simulator,
+    CachescopeConfig, EhsDesign, Extension, FaultKind, GovernorSpec, LeakscopeOptions, SimConfig,
+    SimStats, Simulator,
 };
 use ehs_telemetry::{ChromeTraceSink, JsonlSink, Sink, Stamped};
 use ehs_workloads::App;
@@ -405,7 +403,8 @@ fn run_leakscope(
     ] {
         if args.has(conflict) {
             return Err(CliError::Usage(format!(
-                "--leakscope cannot combine with {conflict}: one observability stream per run"
+                "--leakscope cannot combine with {conflict}: it runs the attack kernels \
+                 instead of the app, so there is no app run to observe"
             )));
         }
     }
@@ -580,93 +579,65 @@ fn run() -> Result<(), CliError> {
         }
         None => CachescopeConfig::default(),
     };
-    if scope_path.is_some() && instrumented {
-        return Err(CliError::Usage(
-            "--cachescope cannot combine with --emit-events/--chrome-trace/\
-             --flight-record: one observability stream per run"
-                .into(),
-        ));
+    let mut sink = TeeSink::default();
+    let open = |p: &str| {
+        JsonlSink::create(Path::new(p)).map_err(|e| CliError::Runtime(format!("{p}: {e}")))
+    };
+    if let Some(p) = events_path {
+        sink.jsonl = Some(open(p)?);
     }
-    // Filled on the cachescope path; rendered after the stats report.
-    let mut scope_parsed = None;
-    let mut scope_report = None;
-    let (stats, metrics) = if instrumented {
-        let mut sink = TeeSink::default();
-        let open = |p: &str| {
-            JsonlSink::create(Path::new(p)).map_err(|e| CliError::Runtime(format!("{p}: {e}")))
-        };
-        if let Some(p) = events_path {
-            sink.jsonl = Some(open(p)?);
+    if chrome_path.is_some() {
+        sink.chrome = Some(ChromeTraceSink::new());
+    }
+    if let Some(p) = flight_path {
+        sink.flight = Some(open(p)?);
+    }
+
+    let mut sim = Simulator::new(cfg.clone(), &program, &trace);
+    if let Some((at, kind)) = inject {
+        sim.arm_fault(at, kind);
+    }
+    if instrumented {
+        sim.attach_telemetry(&mut sink);
+    }
+    if scope_path.is_some() {
+        sim.attach_cachescope(scope);
+    }
+    let observed = sim.run_observed();
+    let stats = observed.stats;
+    let metrics = instrumented.then_some(observed.metrics);
+
+    for (stream, path) in [(&sink.jsonl, events_path), (&sink.flight, flight_path)] {
+        if let (Some(err), Some(p)) = (stream.as_ref().and_then(JsonlSink::error), path) {
+            return Err(CliError::Runtime(format!("writing {p}: {err}")));
         }
-        if chrome_path.is_some() {
-            sink.chrome = Some(ChromeTraceSink::new());
+    }
+    if let (Some(p), Some(chrome)) = (chrome_path, &sink.chrome) {
+        chrome.write_to(Path::new(p)).map_err(|e| CliError::Runtime(format!("{p}: {e}")))?;
+        eprintln!("chrome trace written to {p}");
+    }
+    if let Some(p) = events_path {
+        eprintln!("event stream written to {p}");
+    }
+    if let Some(p) = flight_path {
+        eprintln!("flight record written to {p}");
+    }
+    // Rendered after the stats report.
+    let scope_report = observed.cachescope;
+    let scope_parsed = match (scope_path, &scope_report) {
+        (Some(scope_file), Some(report)) => {
+            let labels = ScopeLabels::new(app.name(), cfg.design.name(), cfg.governor.label());
+            let path = Path::new(scope_file);
+            cachescope::write_jsonl(path, &labels, report)
+                .map_err(|e| CliError::Runtime(format!("{scope_file}: {e}")))?;
+            // Parse the freshly-written stream back strictly: every dump
+            // is its own schema round-trip check, and the rendered report
+            // below comes from the parsed stream, not the in-memory one.
+            let parsed = cachescope::parse_cachescope_file(path).map_err(CliError::Runtime)?;
+            eprintln!("cachescope stream written to {scope_file}");
+            Some(parsed)
         }
-        if let Some(p) = flight_path {
-            sink.flight = Some(open(p)?);
-        }
-        let (stats, metrics) = match inject {
-            Some((at, kind)) => {
-                let mut sim = Simulator::new(cfg.clone(), &program, &trace);
-                sim.arm_fault(at, kind);
-                sim.attach_telemetry(&mut sink);
-                sim.run_instrumented()
-            }
-            None => run_program_with_telemetry(&program, &trace, &cfg, &mut sink),
-        };
-        if let Some(err) = sink.jsonl.as_ref().and_then(JsonlSink::error) {
-            return Err(CliError::Runtime(format!(
-                "writing {}: {err}",
-                events_path.unwrap_or("events")
-            )));
-        }
-        if let Some(err) = sink.flight.as_ref().and_then(JsonlSink::error) {
-            return Err(CliError::Runtime(format!(
-                "writing {}: {err}",
-                flight_path.unwrap_or("flight record")
-            )));
-        }
-        if let (Some(p), Some(chrome)) = (chrome_path, &sink.chrome) {
-            chrome.write_to(Path::new(p)).map_err(|e| CliError::Runtime(format!("{p}: {e}")))?;
-            eprintln!("chrome trace written to {p}");
-        }
-        if let Some(p) = events_path {
-            eprintln!("event stream written to {p}");
-        }
-        if let Some(p) = flight_path {
-            eprintln!("flight record written to {p}");
-        }
-        (stats, Some(metrics))
-    } else if let Some(scope_file) = scope_path {
-        let (stats, report) = match inject {
-            Some((at, kind)) => {
-                let mut sim = Simulator::new(cfg.clone(), &program, &trace);
-                sim.arm_fault(at, kind);
-                sim.attach_cachescope(scope);
-                sim.run_with_cachescope()
-            }
-            None => run_program_with_cachescope(&program, &trace, &cfg, scope),
-        };
-        let labels = ScopeLabels::new(app.name(), cfg.design.name(), cfg.governor.label());
-        let path = Path::new(scope_file);
-        cachescope::write_jsonl(path, &labels, &report)
-            .map_err(|e| CliError::Runtime(format!("{scope_file}: {e}")))?;
-        // Parse the freshly-written stream back strictly: every dump is
-        // its own schema round-trip check, and the rendered report below
-        // comes from the parsed stream, not the in-memory report.
-        scope_parsed = Some(cachescope::parse_cachescope_file(path).map_err(CliError::Runtime)?);
-        scope_report = Some(report);
-        eprintln!("cachescope stream written to {scope_file}");
-        (stats, None)
-    } else {
-        let stats = match inject {
-            Some((at, kind)) => {
-                let mut sim = Simulator::new(cfg.clone(), &program, &trace);
-                sim.arm_fault(at, kind);
-                sim.run()
-            }
-            None => run_program(&program, &trace, &cfg),
-        };
-        (stats, None)
+        _ => None,
     };
     if args.has("--json") {
         let mut report = json_report(&stats);

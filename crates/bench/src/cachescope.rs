@@ -9,7 +9,7 @@
 //! on malformed input — CI's parse-back gate for the cachescope schema —
 //! and the per-app text report `repro explain` prints.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use ehs_cache::SetOccupancy;
 use ehs_sim::{
@@ -351,25 +351,7 @@ pub fn parse_cachescope_str(text: &str) -> Result<ParsedScope, (usize, String)> 
 
 /// [`parse_cachescope_str`] over a file, prefixing `file:line:`.
 pub fn parse_cachescope_file(path: &Path) -> Result<ParsedScope, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    parse_cachescope_str(&text).map_err(|(line, msg)| format!("{}:{line}: {msg}", path.display()))
-}
-
-/// Finds every `cachescope_<app>.jsonl` under `dir`, sorted by app name.
-pub fn discover_cachescope_files(dir: &Path) -> Result<Vec<(String, PathBuf)>, String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    let mut found = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if let Some(app) = name.strip_prefix("cachescope_").and_then(|n| n.strip_suffix(".jsonl")) {
-            found.push((app.to_string(), entry.path()));
-        }
-    }
-    found.sort();
-    Ok(found)
+    crate::fsutil::parse_stream_file(path, parse_cachescope_str)
 }
 
 /// Fraction → one timeline glyph, coarse utilization ramp.

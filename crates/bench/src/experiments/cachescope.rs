@@ -1,8 +1,8 @@
 //! Cachescope experiment: per-app × design × governor cache reports.
 //!
 //! Every cell runs with a [`ehs_sim::CachescopeConfig`] attached — with
-//! the host shortcuts still on, since cachescope does not switch them
-//! off — and folds the probe stream into occupancy,
+//! the host shortcuts still on, since no observer switches them off —
+//! and folds the probe stream into occupancy,
 //! compressibility, lifetime and latency-attribution aggregates. The
 //! canonical cell per app (NVSRAMCache × ACC+Kagura) additionally
 //! samples periodic full-cache occupancy snapshots and, under
@@ -10,7 +10,8 @@
 //! `cachescope_<app>.jsonl` — the input `repro explain` renders and CI
 //! parses back strictly.
 
-use ehs_sim::{CachescopeConfig, CachescopeReport, EhsDesign, GovernorSpec, SimStats};
+use ehs_sim::runner::default_trace;
+use ehs_sim::{CachescopeConfig, CachescopeReport, EhsDesign, GovernorSpec, SimStats, Simulator};
 use ehs_workloads::App;
 use kagura_core::KaguraConfig;
 use serde_json::{json, Value};
@@ -63,7 +64,11 @@ pub fn cachescope(ctx: &ExpContext) -> Value {
             } else {
                 CachescopeConfig::default()
             };
-            ehs_sim::run_app_with_cachescope(app, ctx.scale, &config, scope)
+            let (program, trace) = (app.build(ctx.scale), default_trace(&config));
+            let mut sim = Simulator::new(config, &program, &trace);
+            sim.attach_cachescope(scope);
+            let observed = sim.run_observed();
+            (observed.stats, observed.cachescope.expect("cachescope attached"))
         });
     for (stats, _) in &runs {
         ctx.add_cell_stats(stats);

@@ -11,7 +11,7 @@
 //! ACC+Kagura) and reports the waste fraction per cell plus how much of
 //! the ACC waste Kagura recovers.
 
-use ehs_sim::{EhsDesign, GovernorSpec, SimStats};
+use ehs_sim::{runner::default_trace, EhsDesign, GovernorSpec, SimStats, Simulator};
 use ehs_telemetry::{Event, Stamped, VecSink};
 use ehs_workloads::App;
 use kagura_core::KaguraConfig;
@@ -103,8 +103,11 @@ pub fn energy_waste(ctx: &ExpContext) -> Value {
     let runs: Vec<RunOut> = parallel_map(jobs.clone(), |&(app, design, g)| {
         let mut config = cfg(governors()[g]).with_design(design);
         config.audit_strict |= ctx.audit_strict;
+        let (program, trace) = (app.build(ctx.scale), default_trace(&config));
         let mut sink = VecSink::new();
-        let (stats, _metrics) = ehs_sim::run_app_with_telemetry(app, ctx.scale, &config, &mut sink);
+        let mut sim = Simulator::new(config, &program, &trace);
+        sim.attach_telemetry(&mut sink);
+        let stats = sim.run_observed().stats;
         let events = sink.into_events();
         let totals = fold_flights(&events);
         (stats, totals, canonical(design, g).then_some(events))

@@ -9,10 +9,12 @@
 //! command with a `file:line` diagnostic. CI uses this as the
 //! parse-back gate for the flight-record schema.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use ehs_telemetry::{Event, FlightRecord, Stamped};
 use serde_json::Value;
+
+use crate::fsutil::{discover_streams, parse_stream_file};
 
 /// How many mode switches / threshold adjustments the timeline prints
 /// before eliding the middle.
@@ -25,37 +27,18 @@ const TIMELINE_HEAD: usize = 10;
 /// naming the file, the 1-based line, *and* the offending field
 /// (missing, mistyped, or unknown kind).
 pub fn parse_flight_file(path: &Path) -> Result<Vec<Stamped>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let mut events = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+    parse_stream_file(path, |text| {
+        let mut events = Vec::new();
+        for (idx, line) in text.lines().enumerate() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let v =
+                serde_json::from_str(line).map_err(|e| (idx + 1, format!("invalid JSON: {e}")))?;
+            events.push(Stamped::from_value_strict(&v).map_err(|e| (idx + 1, e.to_string()))?);
         }
-        let v = serde_json::from_str(line)
-            .map_err(|e| format!("{}:{}: invalid JSON: {e}", path.display(), idx + 1))?;
-        let s = Stamped::from_value_strict(&v)
-            .map_err(|e| format!("{}:{}: {e}", path.display(), idx + 1))?;
-        events.push(s);
-    }
-    Ok(events)
-}
-
-/// Finds every `flight_<app>.jsonl` under `dir`, sorted by app name so
-/// the report order is deterministic.
-pub fn discover_flight_files(dir: &Path) -> Result<Vec<(String, PathBuf)>, String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    let mut found = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if let Some(app) = name.strip_prefix("flight_").and_then(|n| n.strip_suffix(".jsonl")) {
-            found.push((app.to_string(), entry.path()));
-        }
-    }
-    found.sort();
-    Ok(found)
+        Ok(events)
+    })
 }
 
 /// The flight records of a stream, in emission order.
@@ -252,9 +235,9 @@ pub fn waste_baseline(doc: &Value, app: &str) -> Option<(f64, f64)> {
 /// table when more than one leakscope cell is present), and returns the
 /// number of streams rendered.
 pub fn explain_dir(dir: &Path) -> Result<usize, String> {
-    let files = discover_flight_files(dir)?;
-    let scopes = crate::cachescope::discover_cachescope_files(dir)?;
-    let leaks = crate::leakscope::discover_leakscope_files(dir)?;
+    let files = discover_streams(dir, "flight_")?;
+    let scopes = discover_streams(dir, "cachescope_")?;
+    let leaks = discover_streams(dir, "leakscope_")?;
     if files.is_empty() && scopes.is_empty() && leaks.is_empty() {
         return Err(format!(
             "no flight_<app>.jsonl, cachescope_<app>.jsonl or leakscope_<cell>.jsonl under \
@@ -353,7 +336,7 @@ mod tests {
         std::fs::write(&path, jsonl(&stream())).unwrap();
         let events = parse_flight_file(&path).expect("valid stream parses");
         assert_eq!(events, stream());
-        let found = discover_flight_files(&dir).unwrap();
+        let found = discover_streams(&dir, "flight_").unwrap();
         assert!(found.iter().any(|(app, _)| app == "sha"));
     }
 

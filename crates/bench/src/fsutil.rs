@@ -16,15 +16,46 @@
 //! the torn-tail contract (a SIGKILL mid-append can tear at most the
 //! final line, which resume drops *and truncates off disk* so later
 //! appends land on a clean line boundary).
+//!
+//! The observer streams (`flight_*`, `cachescope_*`, `leakscope_*` JSONL)
+//! share their reading side here too: [`discover_streams`] finds them and
+//! [`parse_stream_file`] runs a strict parser with `file:line` errors.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use serde_json::{json, Value};
 
 /// Extension used for in-flight writes; `repro --resume` sweeps strays.
 pub const TMP_SUFFIX: &str = "tmp";
+
+/// Finds every `<prefix><name>.jsonl` under `dir` as `(name, path)`,
+/// sorted by name so reports come out in a deterministic order.
+pub fn discover_streams(dir: &Path, prefix: &str) -> Result<Vec<(String, PathBuf)>, String> {
+    let entries = fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+    let mut found = Vec::new();
+    for entry in entries {
+        let entry = entry.map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if let Some(stem) = name.strip_prefix(prefix).and_then(|n| n.strip_suffix(".jsonl")) {
+            found.push((stem.to_string(), entry.path()));
+        }
+    }
+    found.sort();
+    Ok(found)
+}
+
+/// Reads `path` and runs the strict stream parser `parse` over its text,
+/// prefixing any `(1-based line, message)` error with `file:line:`.
+pub fn parse_stream_file<T>(
+    path: &Path,
+    parse: impl FnOnce(&str) -> Result<T, (usize, String)>,
+) -> Result<T, String> {
+    let text =
+        fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    parse(&text).map_err(|(line, msg)| format!("{}:{line}: {msg}", path.display()))
+}
 
 /// Writes `bytes` to `path` atomically: tmp sibling → fsync → rename.
 ///

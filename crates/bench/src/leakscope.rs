@@ -9,7 +9,7 @@
 //! prints: the per-cell guess timeline and the cross-cell
 //! MI/guesses-to-recovery table.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use ehs_sim::{CellAttackReport, GuessProbe};
 use ehs_telemetry::AttackStats;
@@ -293,25 +293,7 @@ pub fn parse_leakscope_str(text: &str) -> Result<ParsedLeak, (usize, String)> {
 
 /// [`parse_leakscope_str`] over a file, prefixing `file:line:`.
 pub fn parse_leakscope_file(path: &Path) -> Result<ParsedLeak, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    parse_leakscope_str(&text).map_err(|(line, msg)| format!("{}:{line}: {msg}", path.display()))
-}
-
-/// Finds every `leakscope_<cell>.jsonl` under `dir`, sorted by cell slug.
-pub fn discover_leakscope_files(dir: &Path) -> Result<Vec<(String, PathBuf)>, String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    let mut found = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if let Some(cell) = name.strip_prefix("leakscope_").and_then(|n| n.strip_suffix(".jsonl")) {
-            found.push((cell.to_string(), entry.path()));
-        }
-    }
-    found.sort();
-    Ok(found)
+    crate::fsutil::parse_stream_file(path, parse_leakscope_str)
 }
 
 /// Renders one cell's attack report: outcome, guess timeline, channel

@@ -1,5 +1,7 @@
 //! The compressed cache proper.
 
+use std::any::Any;
+
 use ehs_compress::AnyCompressor;
 use ehs_model::{Address, BlockData};
 
@@ -98,14 +100,15 @@ pub struct CompressedCache {
     tick: u64,
     stats: CacheStats,
     size_memo: SizeMemo,
-    /// Cache introspection observer; `None` (the default) costs one
-    /// untaken branch per report site. See [`crate::probe`].
-    probe: Option<Box<dyn CacheProbe>>,
+    /// Cache introspection observers, each told of every report; empty
+    /// (the default) costs one length check per report site. See
+    /// [`crate::probe`].
+    probes: Vec<Box<dyn CacheProbe>>,
 }
 
 impl Clone for CompressedCache {
-    /// Clones contents and counters; the probe (an exclusive observer,
-    /// not cache state) stays with the original — clones start detached.
+    /// Clones contents and counters; the probes (observers, not cache
+    /// state) stay with the original — clones start with none.
     fn clone(&self) -> Self {
         CompressedCache {
             config: self.config,
@@ -115,7 +118,7 @@ impl Clone for CompressedCache {
             tick: self.tick,
             stats: self.stats,
             size_memo: self.size_memo.clone(),
-            probe: None,
+            probes: Vec::new(),
         }
     }
 }
@@ -138,26 +141,27 @@ impl CompressedCache {
             tick: 0,
             stats: CacheStats::default(),
             size_memo: SizeMemo::default(),
-            probe: None,
+            probes: Vec::new(),
         }
     }
 
-    /// Attaches a [`CacheProbe`], replacing any. Every subsequent hit,
-    /// fill and eviction is reported to it.
+    /// Attaches a [`CacheProbe`] alongside any already attached. Every
+    /// subsequent hit, fill and eviction is reported to each of them.
     pub fn attach_probe(&mut self, probe: Box<dyn CacheProbe>) {
-        self.probe = Some(probe);
+        self.probes.push(probe);
     }
 
-    /// Detaches and returns the probe (for end-of-run downcasting).
-    pub fn take_probe(&mut self) -> Option<Box<dyn CacheProbe>> {
-        self.probe.take()
+    /// The first attached probe of type `T`, in place — mid-run state
+    /// queries (e.g. power-cycle boundary snapshots) read it here.
+    pub fn probe_mut<T: CacheProbe>(&mut self) -> Option<&mut T> {
+        self.probes.iter_mut().find_map(|p| (&mut **p as &mut dyn Any).downcast_mut::<T>())
     }
 
-    /// Mutable access to the attached probe's concrete type, if one is
-    /// attached and is a `T` — mid-run state queries (e.g. power-cycle
-    /// boundary snapshots) go through [`CacheProbe::as_any_mut`].
-    pub fn probe_downcast_mut<T: 'static>(&mut self) -> Option<&mut T> {
-        self.probe.as_mut().and_then(|p| p.as_any_mut().downcast_mut::<T>())
+    /// Detaches and returns the first attached probe of type `T`.
+    pub fn take_probe<T: CacheProbe>(&mut self) -> Option<T> {
+        let i = self.probes.iter().position(|p| (&**p as &dyn Any).is::<T>())?;
+        let probe: Box<dyn Any> = self.probes.remove(i);
+        Some(*probe.downcast::<T>().expect("found by its type"))
     }
 
     /// The static configuration.
@@ -246,7 +250,7 @@ impl CompressedCache {
                     self.stats.decompressions += 1;
                 }
                 self.stats.read_hits += 1;
-                if let Some(p) = &mut self.probe {
+                for p in &mut self.probes {
                     p.on_hit(ProbeHit { set: si as u32, was_compressed, segments, reuse });
                 }
                 Some(HitInfo { was_compressed, lru_rank: rank, word })
@@ -310,7 +314,7 @@ impl CompressedCache {
                 let reuse = self.tick - self.sets[si].ticks[idx];
                 self.sets[si].ticks[idx] = self.tick;
                 self.stats.read_hits += 1;
-                if let Some(p) = &mut self.probe {
+                for p in &mut self.probes {
                     // Shallow hits land on uncompressed (full-footprint)
                     // lines, matching what `read` would have reported.
                     let segments = self.config.segments_per_block();
@@ -343,7 +347,7 @@ impl CompressedCache {
                 line.data.write_u32(offset, value);
                 line.dirty = true;
                 self.stats.write_hits += 1;
-                if let Some(p) = &mut self.probe {
+                for p in &mut self.probes {
                     let segments = self.config.segments_per_block();
                     p.on_hit(ProbeHit { set: si as u32, was_compressed: false, segments, reuse });
                 }
@@ -373,7 +377,7 @@ impl CompressedCache {
         self.tick += n;
         self.sets[si].ticks[idx] = self.tick;
         self.stats.read_hits += n;
-        if let Some(p) = &mut self.probe {
+        for p in &mut self.probes {
             // MRU precondition: every hit in the run has reuse distance 1.
             p.on_hit_run(si as u32, self.config.segments_per_block(), n);
         }
@@ -417,7 +421,7 @@ impl CompressedCache {
         let old_word = line.data.read_u32(offset);
         line.data.write_u32(offset, value);
         line.dirty = true;
-        if let Some(p) = &mut self.probe {
+        for p in &mut self.probes {
             // Reported as the block sat when the store landed (pre-repack).
             p.on_hit(ProbeHit { set: si as u32, was_compressed, segments, reuse });
         }
@@ -522,7 +526,7 @@ impl CompressedCache {
         if mode == FillMode::Bypass {
             self.stats.bypassed_fills += 1;
         }
-        if let Some(p) = &mut self.probe {
+        for p in &mut self.probes {
             p.on_fill(ProbeFill {
                 set: si as u32,
                 segments,
@@ -609,7 +613,7 @@ impl CompressedCache {
                 self.stats.decompressions += 1;
             }
         }
-        if let Some(p) = &mut self.probe {
+        for p in &mut self.probes {
             p.on_evict(ProbeEviction {
                 set: si as u32,
                 reason: EvictionReason::Capacity,
@@ -643,7 +647,7 @@ impl CompressedCache {
                 self.stats.decompressions += 1;
             }
         }
-        if let Some(p) = &mut self.probe {
+        for p in &mut self.probes {
             p.on_evict(ProbeEviction {
                 set: si as u32,
                 reason: EvictionReason::Forced,
@@ -706,7 +710,7 @@ impl CompressedCache {
     /// replaced or written back), but an attached probe sees every lost
     /// block as an [`EvictionReason::PowerLoss`] departure.
     pub fn invalidate_all(&mut self) {
-        if let Some(mut p) = self.probe.take() {
+        for p in &mut self.probes {
             for (si, set) in self.sets.iter().enumerate() {
                 for idx in 0..set.len() {
                     p.on_evict(ProbeEviction {
@@ -719,7 +723,6 @@ impl CompressedCache {
                     });
                 }
             }
-            self.probe = Some(p);
         }
         for set in &mut self.sets {
             set.clear();
@@ -1129,16 +1132,10 @@ mod tests {
         fn on_evict(&mut self, e: crate::ProbeEviction) {
             self.evictions.push(e);
         }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-            self
-        }
     }
 
     fn take_recording(c: &mut CompressedCache) -> RecordingProbe {
-        *c.take_probe().unwrap().into_any().downcast::<RecordingProbe>().unwrap()
+        c.take_probe::<RecordingProbe>().unwrap()
     }
 
     #[test]
@@ -1190,12 +1187,34 @@ mod tests {
     }
 
     #[test]
+    fn probes_fan_out_and_are_recovered_by_type() {
+        let model = crate::LatencyModel { hit: 1, decompress: 4, compress: 3, miss: 11 };
+        let mut c = cache();
+        c.attach_probe(Box::<RecordingProbe>::default());
+        c.attach_probe(Box::new(crate::AccessTimeline::new(model, 4, 64)));
+        c.fill(conflict_addr(0), zero_block(), FillMode::Compress, None);
+        c.read(conflict_addr(0)).unwrap();
+        c.write(conflict_addr(0), 7, true).unwrap();
+
+        // Both probes saw the same fill and both hits, in place and after
+        // detaching; a type with no attached probe finds nothing.
+        assert_eq!(c.probe_mut::<RecordingProbe>().unwrap().hits.len(), 2);
+        let timeline = c.take_probe::<crate::AccessTimeline>().unwrap();
+        assert_eq!(timeline.records().iter().filter(|r| r.hit).count(), 2);
+        assert_eq!(timeline.records().iter().filter(|r| !r.hit).count(), 1);
+        assert!(c.take_probe::<crate::AccessTimeline>().is_none());
+        let p = take_recording(&mut c);
+        assert_eq!((p.fills.len(), p.hits.len()), (1, 2));
+        assert!(c.probe_mut::<RecordingProbe>().is_none());
+    }
+
+    #[test]
     fn clone_detaches_the_probe_and_occupancy_map_reflects_contents() {
         let mut c = cache();
         c.attach_probe(Box::<RecordingProbe>::default());
         c.fill(conflict_addr(0), zero_block(), FillMode::Compress, None);
         let mut copy = c.clone();
-        assert!(copy.take_probe().is_none(), "clones must start detached");
+        assert!(copy.take_probe::<RecordingProbe>().is_none(), "clones must start detached");
 
         let occ = c.occupancy_map();
         assert_eq!(occ.len(), 4, "table1 has 4 sets");

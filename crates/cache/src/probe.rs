@@ -1,18 +1,20 @@
 //! Zero-cost-when-detached cache introspection.
 //!
 //! A [`CacheProbe`] is the cache-microarchitecture twin of the simulator's
-//! flight recorder: the cache holds `Option<Box<dyn CacheProbe>>` and every
-//! report site is one untaken branch when detached, so the default
-//! configuration pays nothing (perfbench's probe-free `sim_mips` tracks it).
-//! When attached, the cache reports every hit, fill and eviction with the
-//! segment-level detail — compressed footprint, set index, reuse and
+//! flight recorder: the cache holds a `Vec<Box<dyn CacheProbe>>` and every
+//! report site fans out over it, so a cache with no probe (the default)
+//! pays one empty-vector check per site (perfbench's probe-free `sim_mips`
+//! tracks it). Each attached probe sees every hit, fill and eviction with
+//! the segment-level detail — compressed footprint, set index, reuse and
 //! lifetime in recency ticks — that end-of-run [`CacheStats`] totals
-//! cannot reconstruct.
+//! cannot reconstruct. Probes are independent, so one run can feed a
+//! cachescope aggregator and a leak timeline from the same data cache.
 //!
 //! The trait lives in `ehs-cache` so the cache stays free of telemetry
-//! dependencies; the aggregating implementation (`cachescope`) lives in
-//! `ehs-sim`, which recovers its concrete type after a run through
-//! [`CacheProbe::into_any`].
+//! dependencies; the implementations (cachescope's aggregator in
+//! `ehs-sim`, [`crate::AccessTimeline`] here) are recovered by type
+//! through `CompressedCache::probe_mut` and `CompressedCache::take_probe`
+//! (`CacheProbe: Any`, so a probe upcasts to `dyn Any` and downcasts).
 //!
 //! # Determinism contract
 //!
@@ -104,8 +106,8 @@ pub struct ProbeEviction {
 ///
 /// All methods default to no-ops so implementations subscribe only to
 /// what they fold. `Debug` is a supertrait so instrumented caches keep
-/// their derived `Debug`.
-pub trait CacheProbe: std::fmt::Debug {
+/// their derived `Debug`; `Any` lets the cache hand probes back by type.
+pub trait CacheProbe: std::any::Any + std::fmt::Debug {
     /// A read or write hit (shallow fused commits included).
     fn on_hit(&mut self, _hit: ProbeHit) {}
 
@@ -120,13 +122,4 @@ pub trait CacheProbe: std::fmt::Debug {
 
     /// A block left the cache.
     fn on_evict(&mut self, _evt: ProbeEviction) {}
-
-    /// Mid-run access to the concrete aggregator (power-cycle boundary
-    /// snapshots read the attached probe in place through
-    /// `CompressedCache::probe_mut` and downcast).
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
-
-    /// Recovers the concrete aggregator after a run (the simulator takes
-    /// the probe back and downcasts).
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
 }

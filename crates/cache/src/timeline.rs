@@ -142,14 +142,6 @@ impl CacheProbe for AccessTimeline {
         // Capacity/forced evictions stay pending: the fill that triggered
         // them reports used_after, which already accounts for them.
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
 }
 
 #[cfg(test)]

@@ -18,8 +18,9 @@
 //! host shortcuts on or off, so a [`CachescopeReport`] is bit-identical
 //! between the two [`crate::ExecMode`]s (`tests/fastpath.rs` asserts this,
 //! along with `SimStats` equality and the exact cycle partition
-//! `latency.total() == stats.total_cycles`). Unlike telemetry, an
-//! attached cachescope does *not* switch the shortcuts off.
+//! `latency.total() == stats.total_cycles`). No observer switches the
+//! shortcuts off, so a cachescope shares a run with telemetry and a leak
+//! timeline without changing any of their outputs.
 
 use ehs_cache::SetOccupancy;
 use ehs_cache::{CacheConfig, CacheProbe, EvictionReason, ProbeEviction, ProbeFill, ProbeHit};
@@ -146,8 +147,8 @@ pub struct OccupancySnapshot {
 }
 
 /// The probe implementation: folds one cache's event stream into
-/// constant-memory aggregates. Recovered from the cache after the run by
-/// downcasting ([`CacheProbe::into_any`]).
+/// constant-memory aggregates. Recovered from the cache by type after the
+/// run (`CompressedCache::take_probe`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachescopeAggregator {
     /// Data-array segments in use in each set, observed after every fill
@@ -237,14 +238,6 @@ impl CacheProbe for CachescopeAggregator {
         }
         self.lifetime.observe(evt.lifetime as f64);
         self.dead_time.observe(evt.idle as f64);
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
     }
 }
 

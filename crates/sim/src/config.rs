@@ -116,46 +116,6 @@ impl GovernorSpec {
     }
 }
 
-/// A policy/configuration combination rejected *before* a run starts.
-///
-/// These used to be mid-run panics; surfacing them as values lets batch
-/// drivers report one bad grid point instead of aborting a whole sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConfigError {
-    /// A two-phase ideal run was given a recording governor whose policy
-    /// family does not match the spec it must replay against (e.g. a
-    /// Kagura recorder with a plain-ACC spec: the replay phase would
-    /// silently substitute default Kagura parameters).
-    RecorderMismatch {
-        /// The recorder's policy family.
-        recorder: &'static str,
-        /// The spec's label (see [`GovernorSpec::label`]).
-        spec: &'static str,
-    },
-    /// A governor that never recorded an oracle trace was asked for one.
-    NotARecorder {
-        /// The offending governor's name.
-        governor: &'static str,
-    },
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            ConfigError::RecorderMismatch { recorder, spec } => write!(
-                f,
-                "a {recorder} recorder requires a governor spec carrying its \
-                 config, got \"{spec}\""
-            ),
-            ConfigError::NotARecorder { governor } => {
-                write!(f, "{governor} is not an oracle-recording governor")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
 /// Cooperative per-job watchdog budget, checked in the simulator's step
 /// loop so a stuck or runaway configuration is cancelled cleanly instead
 /// of hanging a whole experiment batch.

@@ -58,7 +58,8 @@ use ehs_telemetry::{
 use ehs_workloads::{AddrGen, KernelProgram, KernelSpec, Op, Phase};
 
 use crate::config::{GovernorSpec, SimConfig};
-use crate::runner::{default_trace, run_program_with_leak_timeline};
+use crate::machine::Simulator;
+use crate::runner::default_trace;
 
 /// Pad byte for attacker-controlled positions inside the final words.
 /// Non-zero so a wrong final word never degenerates into a
@@ -369,8 +370,9 @@ fn run_probe(
         repeats: 1,
         image: image.build(),
     });
-    let (_stats, timeline) =
-        run_program_with_leak_timeline(&program, trace, &cfg, opts.timeline_capacity);
+    let mut sim = Simulator::new(cfg, &program, trace);
+    sim.attach_leak_timeline(opts.timeline_capacity);
+    let timeline = sim.run_observed().leak_timeline.expect("leak timeline attached");
     let accesses = timeline.records().len() as u64 + timeline.dropped();
     (timeline.last_in_set(geo.set), accesses)
 }

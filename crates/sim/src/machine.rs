@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use ehs_cache::{CacheConfig, CompressedCache, Evicted, FillOutcome};
+use ehs_cache::{AccessTimeline, CacheConfig, CompressedCache, Evicted, FillOutcome};
 use ehs_compress::Compressor as _;
 use ehs_energy::{
     Capacitor, EnergyBreakdown, EnergyCategory, LedgerRow, PowerTrace, VoltageMonitor,
@@ -150,7 +150,7 @@ struct RunCtx {
     half_inv_dt1: f64,
     /// Run the shadow tags, oracle deep-hit credit and full cache read
     /// paths: observable under recording governors, and forced on by
-    /// [`ExecMode::Reference`] and attached telemetry.
+    /// [`ExecMode::Reference`].
     track_oracle: bool,
     /// Sample the voltage every instruction: observable under
     /// voltage-triggered governors, and forced on like `track_oracle`.
@@ -251,6 +251,12 @@ impl TelemetryHandles {
 /// is *wasted* — its compression energy bought nothing (the paper's Fig 3
 /// argument); fills after the last useful one are *late* — an ideal
 /// switch-off point would have skipped them.
+///
+/// A block's entry outlives its eviction, so a hit on a later
+/// uncompressed refill of the same block still credits the old fill.
+/// Any hit can therefore matter, shallow commits and batched ALU fetches
+/// included, and every hit site reports here; repeated hits on one block
+/// are idempotent.
 #[derive(Debug, Default)]
 struct FlightTracker {
     /// One entry per compressed fill this cycle, in fill order: was the
@@ -415,40 +421,57 @@ pub struct Simulator<'p> {
     telemetry: Option<(Telemetry<'p>, TelemetryHandles)>,
     /// Cachescope latency attribution and snapshot state; `None` (the
     /// default) keeps every attribution site down to a single untaken
-    /// branch. Unlike `telemetry`, an attached cachescope keeps every
-    /// host shortcut on — the probes and attribution see the same events
-    /// either way (asserted by the fastpath differential suite).
+    /// branch. No observer turns a host shortcut off — each sees the same
+    /// events either way (asserted by the fastpath differential suite).
     cachescope: Option<Box<ScopeState>>,
 }
 
+/// What [`Simulator::run_observed`] returns: the run's statistics and
+/// the output of every observer attached to it.
+#[derive(Debug)]
+pub struct Observed {
+    /// The run's statistics, identical to an unobserved run's.
+    pub stats: SimStats,
+    /// Metrics of the attached telemetry sink, ending with an end-of-run
+    /// snapshot; empty without [`Simulator::attach_telemetry`].
+    pub metrics: MetricsRegistry,
+    /// `Some` exactly when [`Simulator::attach_cachescope`] was called.
+    pub cachescope: Option<CachescopeReport>,
+    /// `Some` exactly when [`Simulator::attach_leak_timeline`] was called.
+    pub leak_timeline: Option<AccessTimeline>,
+}
+
 impl<'p> Simulator<'p> {
-    /// Builds a simulator over `program` and `trace`.
+    /// Builds a simulator over `program` and `trace`, with the governor
+    /// `cfg.governor` names.
     ///
-    /// The governor is instantiated from `cfg.governor`; oracle variants
-    /// must be driven through [`crate::runner::run_ideal_app`] /
-    /// [`Simulator::with_governor`] instead of used directly here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.governor` is an ideal (two-phase) spec — the runner
-    /// decomposes those into record and replay phases.
+    /// Ideal (two-phase) specs — paper Fig 13's "ideal" methodology —
+    /// resolve here: the recording pass runs to completion first, and the
+    /// returned simulator is the replay phase, which compresses only the
+    /// fills the recording found useful. Observers attached to it see the
+    /// replay only; the recording pass is oracle scaffolding, not the
+    /// behaviour under study.
     pub fn new(cfg: SimConfig, program: &'p KernelProgram, trace: &'p PowerTrace) -> Self {
         use crate::config::GovernorSpec as GS;
+        let record = |recorder: Governor| {
+            Self::with_governor(cfg.clone(), program, trace, recorder).run_recording().1
+        };
         let gov = match cfg.governor {
             GS::NoCompression => Governor::none(),
             GS::AlwaysCompress => Governor::always(),
             GS::Acc => Governor::acc(),
             GS::AccKagura(kcfg) => Governor::kagura(kcfg),
             GS::RandThreshold(rcfg) => Governor::rand_threshold(rcfg),
-            GS::IdealAcc | GS::IdealAccKagura(_) => {
-                panic!("ideal governors are two-phase: use run_ideal_app")
+            GS::IdealAcc => Governor::replay_acc(record(Governor::record_acc())),
+            GS::IdealAccKagura(kcfg) => {
+                Governor::replay_kagura(kcfg, record(Governor::record_kagura(kcfg)))
             }
         };
         Self::with_governor(cfg, program, trace, gov)
     }
 
-    /// Builds a simulator with an explicit governor instance (used by the
-    /// oracle runner for its record and replay phases).
+    /// Builds a simulator with an explicit governor instance (the ideal
+    /// specs' record and replay phases, and tests).
     pub fn with_governor(
         cfg: SimConfig,
         program: &'p KernelProgram,
@@ -541,8 +564,9 @@ impl<'p> Simulator<'p> {
     }
 
     /// Attaches an event sink and metrics registry for the whole run and
-    /// turns on the governor's internal event log. Drive the run with
-    /// [`Simulator::run_instrumented`] to get the metrics back.
+    /// turns on the governor's internal event log. The host shortcuts stay
+    /// on: events and metrics are identical to an [`ExecMode::Reference`]
+    /// run's. [`Simulator::run_observed`] returns the metrics.
     pub fn attach_telemetry(&mut self, sink: &'p mut dyn Sink) {
         let mut t = Telemetry::new(sink);
         let handles = TelemetryHandles::register(&mut t.metrics);
@@ -593,12 +617,11 @@ impl<'p> Simulator<'p> {
         (stats, trace)
     }
 
-    /// Runs to completion like [`Simulator::run`], returning the metrics
-    /// accumulated by an attached telemetry sink alongside the stats. A
-    /// final snapshot is taken at end of run so the last (possibly
-    /// unfinished) power cycle's totals are captured too. Without
-    /// [`Simulator::attach_telemetry`] the metrics come back empty.
-    pub fn run_instrumented(mut self) -> (SimStats, MetricsRegistry) {
+    /// Runs to completion like [`Simulator::run`] and returns every
+    /// attached observer's output alongside the stats. Telemetry gets a
+    /// final metrics snapshot and the cachescope a final boundary row, so
+    /// the last (possibly unfinished) power cycle is covered too.
+    pub fn run_observed(mut self) -> Observed {
         self.run_and_flush();
         let metrics = match self.telemetry.take() {
             Some((mut t, _)) => {
@@ -607,16 +630,17 @@ impl<'p> Simulator<'p> {
             }
             None => MetricsRegistry::default(),
         };
-        (self.finish(), metrics)
+        let cachescope = self.cachescope.is_some().then(|| self.take_cachescope_report());
+        let leak_timeline = self.dcache.take_probe::<AccessTimeline>();
+        Observed { stats: self.finish(), metrics, cachescope, leak_timeline }
     }
 
     /// Attaches a cachescope: a [`CachescopeAggregator`] probe on each
     /// cache plus simulator-side latency attribution, power-cycle
     /// boundary rows, and (if configured) periodic occupancy snapshots.
-    /// Unlike telemetry, an attached cachescope keeps the host shortcuts
-    /// on — aggregation is probe-driven, and the fastpath differential
-    /// suite asserts the reports are identical in both [`ExecMode`]s.
-    /// Drive the run with [`Simulator::run_with_cachescope`].
+    /// Aggregation is probe-driven, and the fastpath differential suite
+    /// asserts the reports are identical in both [`ExecMode`]s.
+    /// [`Simulator::run_observed`] returns the report.
     pub fn attach_cachescope(&mut self, scope: CachescopeConfig) {
         let i = CachescopeAggregator::new(self.icache.config());
         let d = CachescopeAggregator::new(self.dcache.config());
@@ -625,27 +649,12 @@ impl<'p> Simulator<'p> {
         self.cachescope = Some(Box::new(ScopeState::new(scope)));
     }
 
-    /// Runs to completion like [`Simulator::run`], returning the cache
-    /// report accumulated by an attached cachescope alongside the stats.
-    /// A final boundary row is recorded at end of run so the last
-    /// (possibly unfinished) power cycle is covered too.
-    ///
-    /// # Panics
-    ///
-    /// Panics without a prior [`Simulator::attach_cachescope`].
-    pub fn run_with_cachescope(mut self) -> (SimStats, CachescopeReport) {
-        self.run_and_flush();
-        let report = self.take_cachescope_report();
-        (self.finish(), report)
-    }
-
     /// Attaches a leakscope access timeline to the data cache: a bounded
     /// [`AccessTimeline`] probe recording the (set, latency, hit/miss,
     /// occupancy-delta) tuple of every access, as a co-resident attacker
-    /// would observe it. Purely event-driven, so the host shortcuts stay
-    /// on (the fastpath differential suite asserts identical timelines in
-    /// both [`ExecMode`]s). Drive the run with
-    /// [`Simulator::run_with_leak_timeline`].
+    /// would observe it. Purely event-driven (the fastpath differential
+    /// suite asserts identical timelines in both [`ExecMode`]s).
+    /// [`Simulator::run_observed`] returns the timeline.
     pub fn attach_leak_timeline(&mut self, capacity: usize) {
         let model = ehs_cache::LatencyModel {
             hit: self.cfg.system.dcache.hit_latency.get(),
@@ -653,46 +662,22 @@ impl<'p> Simulator<'p> {
             compress: self.comp_cost.compress_latency.get(),
             miss: self.cfg.system.dcache.hit_latency.get() + self.cfg.system.nvm.read_latency.get(),
         };
-        let probe =
-            ehs_cache::AccessTimeline::new(model, self.cfg.system.dcache.num_sets(), capacity);
+        let probe = AccessTimeline::new(model, self.cfg.system.dcache.num_sets(), capacity);
         self.dcache.attach_probe(Box::new(probe));
-    }
-
-    /// Runs to completion like [`Simulator::run`], returning the
-    /// per-access timeline recorded by the attached probe alongside the
-    /// stats.
-    ///
-    /// # Panics
-    ///
-    /// Panics without a prior [`Simulator::attach_leak_timeline`].
-    pub fn run_with_leak_timeline(mut self) -> (SimStats, ehs_cache::AccessTimeline) {
-        self.run_and_flush();
-        let timeline = *self
-            .dcache
-            .take_probe()
-            .expect("run_with_leak_timeline requires attach_leak_timeline")
-            .into_any()
-            .downcast::<ehs_cache::AccessTimeline>()
-            .expect("leak probe is an AccessTimeline");
-        (self.finish(), timeline)
     }
 
     /// Records the end-of-run boundary row, detaches the probes and
     /// assembles the [`CachescopeReport`].
     fn take_cachescope_report(&mut self) -> CachescopeReport {
         self.cachescope_cycle_boundary();
-        let state = self.cachescope.take().expect("run_with_cachescope requires attach_cachescope");
-        fn recover(probe: Option<Box<dyn ehs_cache::CacheProbe>>) -> CachescopeAggregator {
-            *probe
-                .expect("cachescope probe attached")
-                .into_any()
-                .downcast::<CachescopeAggregator>()
-                .expect("cachescope probe is the aggregator")
-        }
+        let state = self.cachescope.take().expect("cachescope attached");
+        let recover = |c: &mut CompressedCache| {
+            c.take_probe::<CachescopeAggregator>().expect("cachescope probe attached")
+        };
         CachescopeReport {
             algorithm: self.cfg.algorithm.to_string(),
-            icache: recover(self.icache.take_probe()),
-            dcache: recover(self.dcache.take_probe()),
+            icache: recover(&mut self.icache),
+            dcache: recover(&mut self.dcache),
             latency: state.attr,
             cycles: state.cycles,
             snapshots: state.snapshots,
@@ -709,7 +694,7 @@ impl<'p> Simulator<'p> {
             return;
         }
         let counters = |c: &mut CompressedCache| {
-            c.probe_downcast_mut::<CachescopeAggregator>().map(|a| a.counters()).unwrap_or_default()
+            c.probe_mut::<CachescopeAggregator>().map(|a| a.counters()).unwrap_or_default()
         };
         let ic = counters(&mut self.icache);
         let dc = counters(&mut self.dcache);
@@ -767,6 +752,15 @@ impl<'p> Simulator<'p> {
         }
     }
 
+    /// Credits a hit on `addr`'s block to the flight recorder while
+    /// telemetry is attached — one untaken branch otherwise.
+    #[inline]
+    fn flight_hit(&mut self, addr: Address, block_size: u32, dcache: bool) {
+        if self.telemetry.is_some() {
+            self.flight.on_hit(addr.block_index(block_size), dcache);
+        }
+    }
+
     /// Adds to the latency attribution when a cachescope is attached —
     /// one untaken branch otherwise.
     #[inline]
@@ -793,9 +787,11 @@ impl<'p> Simulator<'p> {
     ///   tags, oracle credit, full cache read paths, voltage samples) is
     ///   skipped — see [`Simulator::step`].
     ///
-    /// [`ExecMode::Reference`] and an attached telemetry sink switch every
-    /// shortcut off; the `tests/fastpath.rs` differentials assert that
-    /// both settings give bit-identical results. Shortcuts that hold by
+    /// [`ExecMode::Reference`] switches every shortcut off; the
+    /// `tests/fastpath.rs` differentials assert that both settings give
+    /// bit-identical stats and observer outputs. Observers never switch a
+    /// shortcut off: every hit a shortcut commits is still reported to the
+    /// cache probes and the flight recorder. Shortcuts that hold by
     /// construction stay on in every run: instructions decode through an
     /// incremental [`InstCursor`], `dt` comes from a precomputed table,
     /// and the `below_checkpoint()` square root is one f64 compare
@@ -827,11 +823,9 @@ impl<'p> Simulator<'p> {
             + leak_max
             + sram_leak
             + mon_leak;
-        // The differential oracle's baseline and the flight recorder (whose
-        // hit sites sit on the full read paths) both need every shortcut
-        // off.
-        let no_shortcuts = self.cfg.exec == ExecMode::Reference || self.telemetry.is_some();
-        let voltage_sensitive = no_shortcuts || self.gov.voltage_sensitive();
+        // Only the differential oracle's baseline turns the shortcuts off.
+        let reference = self.cfg.exec == ExecMode::Reference;
+        let voltage_sensitive = reference || self.gov.voltage_sensitive();
         let ctx = RunCtx {
             i_ways: self.cfg.system.icache.ways,
             d_ways: self.cfg.system.dcache.ways,
@@ -846,7 +840,7 @@ impl<'p> Simulator<'p> {
             // The 2x margin dwarfs any f64 rounding slack in the bound.
             inv_drop_max: 1.0 / (per_step.picojoules().max(f64::MIN_POSITIVE) * 2.0),
             half_inv_dt1: 0.5 / dt1.seconds(),
-            track_oracle: no_shortcuts || self.gov.is_recorder(),
+            track_oracle: reference || self.gov.is_recorder(),
             voltage_sensitive,
             batching: !voltage_sensitive && self.cfg.step_budget.max_wall.is_none(),
             max_executed: self.cfg.step_budget.max_executed_insts,
@@ -969,6 +963,7 @@ impl<'p> Simulator<'p> {
     /// identically.
     fn execute_alu_run(&mut self, pc: Address, k: u64, ctx: &RunCtx) {
         self.icache.commit_read_hit_run(pc, k);
+        self.flight_hit(pc, ctx.block_size, false);
         for _ in 0..k {
             self.spend(EnergyCategory::CacheOther, ctx.i_access);
             self.spend(EnergyCategory::Other, ctx.inst_energy);
@@ -1261,9 +1256,7 @@ impl<'p> Simulator<'p> {
         };
         match self.icache.read(pc) {
             Some(hit) => {
-                if self.telemetry.is_some() {
-                    self.flight.on_hit(pc.block_index(ctx.block_size), false);
-                }
+                self.flight_hit(pc, ctx.block_size, false);
                 if hit.was_compressed {
                     self.spend(EnergyCategory::Decompress, self.comp_cost.decompress_energy);
                     let stall = self.comp_cost.decompress_latency.get();
@@ -1319,10 +1312,12 @@ impl<'p> Simulator<'p> {
         // A shallow uncompressed fetch hit (the common case: straight-line
         // code re-fetching its own block) needs none of the full read
         // path — no decompression, `on_hit` ignores shallow uncompressed
-        // hits, and without `track_oracle` there are no shadow tags,
-        // deep-hit credit or flight-recorder hits to maintain.
+        // hits, and without `track_oracle` there are no shadow tags or
+        // deep-hit credit to maintain.
         if ctx.track_oracle || !self.icache.try_commit_shallow_read(inst.pc) {
             cycles += self.fetch_slow(inst.pc, ctx);
+        } else {
+            self.flight_hit(inst.pc, ctx.block_size, false);
         }
 
         // --- Execute / data access. ---
@@ -1407,8 +1402,8 @@ impl<'p> Simulator<'p> {
         self.spend(EnergyCategory::CacheOther, self.cfg.system.dcache.access_energy);
         // Short path: an access hitting a *shallow uncompressed* line (one
         // an uncompressed cache would also serve) with oracle tracking off
-        // (so telemetry is detached too) reduces to the LRU stamp, the hit
-        // counter, and (for stores) the word write + dirty bit. Bit-exact
+        // reduces to the LRU stamp, the hit counter, (for stores) the word
+        // write + dirty bit, and the flight-recorder hit. Bit-exact
         // versus the full path below: `read()`/`write()` on such a line do
         // exactly the commit's state changes, and every consumer of the
         // `HitInfo` is provably inert — `on_hit` only reacts to deep or
@@ -1420,6 +1415,7 @@ impl<'p> Simulator<'p> {
                 Some(v) => self.dcache.try_commit_shallow_write(addr, v),
             };
             if fast {
+                self.flight_hit(addr, block_size, true);
                 return cycles;
             }
         }
@@ -1437,9 +1433,7 @@ impl<'p> Simulator<'p> {
         };
         match hit {
             Some((info, evicted)) => {
-                if self.telemetry.is_some() {
-                    self.flight.on_hit(addr.block_index(block_size), true);
-                }
+                self.flight_hit(addr, block_size, true);
                 if info.was_compressed {
                     self.spend(EnergyCategory::Decompress, self.comp_cost.decompress_energy);
                     let stall = self.comp_cost.decompress_latency.get();
@@ -1843,11 +1837,15 @@ mod tests {
     use ehs_energy::TraceKind;
     use ehs_workloads::App;
 
-    fn run_small(app: App, governor: GovernorSpec) -> SimStats {
-        let cfg = SimConfig::table1().with_governor(governor);
+    /// `app` at scale 0.02 under `cfg`, on a short generated trace.
+    fn run_cfg(app: App, cfg: SimConfig) -> SimStats {
         let program = app.build(0.02);
         let trace = PowerTrace::generate(cfg.trace_kind, cfg.trace_seed, 400_000);
         Simulator::new(cfg, &program, &trace).run()
+    }
+
+    fn run_small(app: App, governor: GovernorSpec) -> SimStats {
+        run_cfg(app, SimConfig::table1().with_governor(governor))
     }
 
     #[test]
@@ -1861,16 +1859,15 @@ mod tests {
         let mut sim = Simulator::new(cfg, &program, &trace);
         sim.attach_telemetry(&mut sink);
         sim.attach_cachescope(CachescopeConfig::default());
-        sim.run_loop();
-        let (t, _) = sim.telemetry.take().expect("telemetry attached");
-        let mut metrics = t.into_metrics();
-        let report = sim.take_cachescope_report();
-        assert!(sim.stats.power_cycles.len() >= 2, "run too short to cross a boundary");
+        let Observed { stats, mut metrics, cachescope, .. } = sim.run_observed();
+        let report = cachescope.expect("cachescope attached");
+        assert!(stats.checkpoints >= 2, "run too short to cross a boundary");
         // One row per power-cycle boundary plus the end-of-run row.
-        assert_eq!(report.cycles.len(), sim.stats.power_cycles.len() + 1);
-        // Mirrored gauges hold the last boundary's cumulative values
-        // (`gauge` is get-or-register by name, so this finds the existing
-        // ids; a fresh registration would read 0.0 and fail below).
+        assert_eq!(report.cycles.len(), stats.checkpoints as usize + 1);
+        // Mirrored gauges hold the last boundary's cumulative values: the
+        // end-of-run row is cut after telemetry detaches. (`gauge` is
+        // get-or-register by name, so this finds the existing ids; a
+        // fresh registration would read 0.0 and fail below.)
         let hits = metrics.gauge("cachescope_dcache_hits");
         let last_boundary = report.cycles[report.cycles.len() - 2];
         assert_eq!(metrics.gauge_value(hits), last_boundary.dcache.hits as f64);
@@ -1939,9 +1936,7 @@ mod tests {
         let mut cfg =
             SimConfig::table1().with_governor(GovernorSpec::AccKagura(Default::default()));
         cfg.record_cycles = false;
-        let program = App::Sha.build(0.02);
-        let trace = PowerTrace::generate(cfg.trace_kind, cfg.trace_seed, 400_000);
-        let unrecorded = Simulator::new(cfg, &program, &trace).run();
+        let unrecorded = run_cfg(App::Sha, cfg);
 
         assert!(unrecorded.power_cycles.is_empty());
         assert_eq!(unrecorded.power_cycle_count, recorded.power_cycle_count);
@@ -2000,9 +1995,7 @@ mod tests {
         // consumed beyond harvested − Δstored by the leak amount every
         // cycle and abort the run here.
         let cfg = SimConfig::table1().with_audit_strict(true);
-        let program = App::Sha.build(0.02);
-        let trace = PowerTrace::generate(cfg.trace_kind, cfg.trace_seed, 400_000);
-        let stats = Simulator::new(cfg, &program, &trace).run();
+        let stats = run_cfg(App::Sha, cfg);
         assert!(stats.completed);
         assert_eq!(stats.ledger_violations, 0);
         assert!(stats.cap_leak.picojoules() > 0.0, "leakage must be modelled");
@@ -2023,9 +2016,7 @@ mod tests {
                     .with_design(design)
                     .with_governor(governor)
                     .with_audit_strict(true);
-                let program = App::Crc32.build(0.02);
-                let trace = PowerTrace::generate(cfg.trace_kind, cfg.trace_seed, 400_000);
-                let stats = Simulator::new(cfg, &program, &trace).run();
+                let stats = run_cfg(App::Crc32, cfg);
                 assert!(stats.completed, "{design}/{} did not complete", governor.label());
                 assert_eq!(stats.ledger_violations, 0, "{design}/{}", governor.label());
             }
@@ -2043,9 +2034,7 @@ mod tests {
     fn nvmr_and_sweepcache_complete() {
         for design in [EhsDesign::Nvmr, EhsDesign::SweepCache] {
             let cfg = SimConfig::table1().with_design(design).with_governor(GovernorSpec::Acc);
-            let program = App::Gsm.build(0.02);
-            let trace = PowerTrace::generate(cfg.trace_kind, cfg.trace_seed, 400_000);
-            let stats = Simulator::new(cfg, &program, &trace).run();
+            let stats = run_cfg(App::Gsm, cfg);
             assert!(stats.completed, "{design} did not complete");
         }
     }
@@ -2053,9 +2042,7 @@ mod tests {
     #[test]
     fn sweepcache_reexecutes_lost_work() {
         let cfg = SimConfig::table1().with_design(EhsDesign::SweepCache);
-        let program = App::Gsm.build(0.02);
-        let trace = PowerTrace::generate(cfg.trace_kind, cfg.trace_seed, 400_000);
-        let stats = Simulator::new(cfg, &program, &trace).run();
+        let stats = run_cfg(App::Gsm, cfg);
         assert!(stats.completed);
         assert!(
             stats.executed_insts > stats.committed_insts,
@@ -2070,9 +2057,7 @@ mod tests {
         for ext in [Extension::edbp(), Extension::ipex()] {
             let mut cfg = SimConfig::table1().with_governor(GovernorSpec::Acc);
             cfg.extension = ext;
-            let program = App::Jpegd.build(0.02);
-            let trace = PowerTrace::generate(cfg.trace_kind, cfg.trace_seed, 400_000);
-            let stats = Simulator::new(cfg, &program, &trace).run();
+            let stats = run_cfg(App::Jpegd, cfg);
             assert!(stats.completed, "{ext:?} did not complete");
         }
     }
@@ -2117,7 +2102,7 @@ mod tests {
         let mut sink = VecSink::new();
         let mut sim = Simulator::new(cfg, &program, &trace);
         sim.attach_telemetry(&mut sink);
-        let (stats, metrics) = sim.run_instrumented();
+        let Observed { stats, metrics, .. } = sim.run_observed();
 
         // Telemetry must observe, never perturb.
         assert_eq!(stats, plain, "{design}: telemetry perturbed the run");

@@ -13,15 +13,57 @@
 //! samples kept), recording/replaying oracle governors (shadow tags kept),
 //! both extensions (EDBP's scan countdown caps batch length; IPEX
 //! prefetch), and armed instruction budgets.
+//!
+//! Observers — telemetry, cachescope, leak timeline — keep every shortcut
+//! on, so their outputs are certified the same way: identical in both
+//! modes, identical whether attached alone or together, and never
+//! perturbing the stats.
 
 use ehs_compress::Algorithm;
+use ehs_energy::PowerTrace;
+use ehs_mem::{ImageKind, MemoryImage};
 use ehs_sim::faultinject::diff_nvm;
+use ehs_sim::runner::default_trace;
 use ehs_sim::{
     CachescopeConfig, EhsDesign, ExecMode, Extension, FaultKind, GovernorSpec, LeakscopeOptions,
-    SimConfig, SimStats, Simulator, StepBudget,
+    Observed, SimConfig, SimStats, Simulator, StepBudget,
 };
-use ehs_workloads::App;
+use ehs_telemetry::{Event, Stamped, VecSink};
+use ehs_workloads::{AddrGen, App, KernelProgram, KernelSpec, Op, Phase, ValGen};
 use kagura_core::{KaguraConfig, TriggerKind};
+
+/// Which observers [`observe`] attaches.
+#[derive(Debug, Clone, Copy, Default)]
+struct Observers {
+    telemetry: bool,
+    scope: Option<CachescopeConfig>,
+    leak_capacity: Option<usize>,
+}
+
+const TELEMETRY: Observers = Observers { telemetry: true, scope: None, leak_capacity: None };
+
+/// One run of `program` with `observers` attached (telemetry into a
+/// `VecSink`); returns the observed outputs and the recorded events.
+fn observe(
+    program: &KernelProgram,
+    trace: &PowerTrace,
+    cfg: &SimConfig,
+    observers: Observers,
+) -> (Observed, Vec<Stamped>) {
+    let mut sink = VecSink::new();
+    let mut sim = Simulator::new(cfg.clone(), program, trace);
+    if observers.telemetry {
+        sim.attach_telemetry(&mut sink);
+    }
+    if let Some(scope) = observers.scope {
+        sim.attach_cachescope(scope);
+    }
+    if let Some(capacity) = observers.leak_capacity {
+        sim.attach_leak_timeline(capacity);
+    }
+    let observed = sim.run_observed();
+    (observed, sink.into_events())
+}
 
 /// Runs `app` in both exec modes and asserts identical stats.
 fn assert_loops_match(app: App, scale: f64, cfg: &SimConfig) -> SimStats {
@@ -112,19 +154,14 @@ fn fast_forward_matches_reference_with_instruction_budget() {
 /// boundary rows, occupancy snapshots, latency attribution, all of it.
 fn assert_cachescope_matches(app: App, scale: f64, cfg: &SimConfig) {
     // A short period so snapshots land inside (and must cap) ALU batches.
-    let scope = CachescopeConfig::periodic(512);
-    let (fast, fast_rep) = ehs_sim::run_app_with_cachescope(
-        app,
-        scale,
-        &cfg.clone().with_exec(ExecMode::FastForward),
-        scope,
-    );
-    let (reference, ref_rep) = ehs_sim::run_app_with_cachescope(
-        app,
-        scale,
-        &cfg.clone().with_exec(ExecMode::Reference),
-        scope,
-    );
+    let scope = Observers { scope: Some(CachescopeConfig::periodic(512)), ..Default::default() };
+    let (program, trace) = (app.build(scale), default_trace(cfg));
+    let run = |exec: ExecMode| {
+        let observed = observe(&program, &trace, &cfg.clone().with_exec(exec), scope).0;
+        (observed.stats, observed.cachescope.expect("cachescope attached"))
+    };
+    let (fast, fast_rep) = run(ExecMode::FastForward);
+    let (reference, ref_rep) = run(ExecMode::Reference);
     assert_eq!(
         fast, reference,
         "stats diverged with cachescope attached: {app:?} gov={:?} ext={:?}",
@@ -221,13 +258,10 @@ fn leak_timeline_matches_between_loops_and_never_perturbs() {
     let cfg = SimConfig::table1().with_governor(GovernorSpec::AccKagura(Default::default()));
     let program = App::Sha.build(0.004);
     let trace = ehs_sim::attack_trace(&cfg);
+    let leak = Observers { leak_capacity: Some(2048), ..Default::default() };
     let run = |exec: ExecMode| {
-        ehs_sim::run_program_with_leak_timeline(
-            &program,
-            &trace,
-            &cfg.clone().with_exec(exec),
-            2048,
-        )
+        let observed = observe(&program, &trace, &cfg.clone().with_exec(exec), leak).0;
+        (observed.stats, observed.leak_timeline.expect("leak timeline attached"))
     };
     let (fast, fast_tl) = run(ExecMode::FastForward);
     let (reference, ref_tl) = run(ExecMode::Reference);
@@ -237,6 +271,133 @@ fn leak_timeline_matches_between_loops_and_never_perturbs() {
     assert!(!fast_tl.records().is_empty(), "timeline recorded nothing");
     let plain = ehs_sim::run_program(&program, &trace, &cfg);
     assert_eq!(fast, plain, "leak timeline perturbed the run");
+}
+
+/// Runs `app` with a `VecSink` attached in both exec modes and asserts
+/// identical stats, events and metrics snapshots, and stats identical to
+/// the unobserved run: the shortcuts stay on under telemetry, so every
+/// hit they commit must still reach the flight recorder.
+fn assert_telemetry_matches(program: &KernelProgram, cfg: &SimConfig) {
+    let trace = default_trace(cfg);
+    let run = |exec: ExecMode| observe(program, &trace, &cfg.clone().with_exec(exec), TELEMETRY);
+    let (fast, fast_events) = run(ExecMode::FastForward);
+    let (reference, ref_events) = run(ExecMode::Reference);
+    let what = format!("{} design={:?} gov={:?}", program.name(), cfg.design, cfg.governor);
+    assert_eq!(fast.stats, reference.stats, "stats diverged under telemetry: {what}");
+    assert_eq!(fast_events, ref_events, "events diverged between exec modes: {what}");
+    assert_eq!(fast.metrics, reference.metrics, "metrics diverged between exec modes: {what}");
+    assert!(
+        fast_events.iter().any(|e| matches!(e.event, Event::FlightRecord(_))),
+        "no flight record: {what}"
+    );
+    let plain = ehs_sim::run_program(program, &trace, cfg);
+    assert_eq!(fast.stats, plain, "telemetry perturbed the run: {what}");
+}
+
+#[test]
+fn telemetry_matches_reference_on_every_app() {
+    for app in App::ALL {
+        let cfg = SimConfig::table1().with_governor(GovernorSpec::AccKagura(Default::default()));
+        assert_telemetry_matches(&app.build(0.004), &cfg);
+    }
+}
+
+#[test]
+fn telemetry_matches_reference_across_designs() {
+    for app in [App::Sha, App::Jpegd] {
+        for design in EhsDesign::ALL {
+            let cfg = SimConfig::table1()
+                .with_design(design)
+                .with_governor(GovernorSpec::AccKagura(Default::default()));
+            assert_telemetry_matches(&app.build(0.004), &cfg);
+        }
+    }
+}
+
+#[test]
+fn telemetry_matches_reference_with_compressible_code() {
+    // No workload's code blocks compress, so only code in zeroed memory
+    // exercises the ICache flight-recorder hits on shallow fetches and
+    // batched ALU runs: a once-compressed block, evicted unreferenced
+    // and refilled uncompressed in Kagura's RM mode, credits its old
+    // fill on the first hit. These shapes (ALU-run length x code paths
+    // thrashing the 256 B ICache) are ones where that happens.
+    for (alus, code_paths) in [(7, 16), (24, 32)] {
+        let mut body = vec![Op::Alu; alus];
+        body.push(Op::Load(AddrGen::Rand { base: 0x8000, span: 4096, salt: 7 }));
+        body.push(Op::Store(
+            AddrGen::Rand { base: 0x9000, span: 2048, salt: 9 },
+            ValGen::Small { magnitude: 100, salt: 3 },
+        ));
+        let program = KernelProgram::new(KernelSpec {
+            name: "zero-code",
+            phases: vec![Phase { body, iterations: 4000, code_base: 0x0010_0000, code_paths }],
+            repeats: 1,
+            image: MemoryImage::builder(ImageKind::Zeros).build(),
+        });
+        let cfg = SimConfig::table1().with_governor(GovernorSpec::AccKagura(Default::default()));
+        assert_telemetry_matches(&program, &cfg);
+    }
+}
+
+#[test]
+fn every_observer_on_one_run_matches_each_alone() {
+    let all = Observers {
+        telemetry: true,
+        scope: Some(CachescopeConfig::periodic(512)),
+        leak_capacity: Some(2048),
+    };
+    let cfg = SimConfig::table1().with_governor(GovernorSpec::AccKagura(Default::default()));
+    for app in [App::Sha, App::Jpegd] {
+        let (program, trace) = (app.build(0.004), default_trace(&cfg));
+        for exec in [ExecMode::FastForward, ExecMode::Reference] {
+            let cfg = cfg.clone().with_exec(exec);
+            let alone = |o: Observers| observe(&program, &trace, &cfg, o);
+            let (together, events) = alone(all);
+            let (telemetry, telemetry_events) = alone(TELEMETRY);
+            let scope = alone(Observers { scope: all.scope, ..Default::default() }).0;
+            let leak =
+                alone(Observers { leak_capacity: all.leak_capacity, ..Default::default() }).0;
+            let what = format!("{app:?} {exec:?}");
+
+            assert_eq!(together.stats, ehs_sim::run_program(&program, &trace, &cfg), "{what}");
+            assert_eq!(events, telemetry_events, "events changed by other observers: {what}");
+            assert_eq!(together.cachescope, scope.cachescope, "cachescope changed: {what}");
+            let (tl, tl_alone) = (together.leak_timeline.unwrap(), leak.leak_timeline.unwrap());
+            assert_eq!(tl.records(), tl_alone.records(), "leak timeline changed: {what}");
+            assert_eq!(tl.dropped(), tl_alone.dropped(), "{what}");
+            // The cachescope mirrors its boundary rows into extra gauges,
+            // registered after telemetry's own; everything else is equal.
+            let (snaps, alone_snaps) =
+                (together.metrics.snapshots(), telemetry.metrics.snapshots());
+            assert_eq!(snaps.len(), alone_snaps.len(), "{what}");
+            for (s, a) in snaps.iter().zip(alone_snaps) {
+                assert_eq!((s.cycle, s.t_us.to_bits()), (a.cycle, a.t_us.to_bits()), "{what}");
+                assert_eq!(s.counters, a.counters, "{what}");
+                assert_eq!(s.gauges[..a.gauges.len()], a.gauges[..], "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn ideal_specs_resolve_in_simulator_new() {
+    // `Simulator::new` runs the recording pass itself; observers see only
+    // the replay, and observing it changes nothing.
+    let observers = Observers {
+        telemetry: true,
+        scope: Some(CachescopeConfig::default()),
+        ..Default::default()
+    };
+    for gov in [GovernorSpec::IdealAcc, GovernorSpec::IdealAccKagura(Default::default())] {
+        let cfg = SimConfig::table1().with_governor(gov);
+        let (program, trace) = (App::Sha.build(0.01), default_trace(&cfg));
+        let (observed, events) = observe(&program, &trace, &cfg, observers);
+        assert_eq!(observed.stats, ehs_sim::run_program(&program, &trace, &cfg), "{gov:?}");
+        assert!(observed.stats.completed, "{gov:?}");
+        assert!(!events.is_empty() && observed.cachescope.is_some(), "{gov:?}");
+        assert!(observed.leak_timeline.is_none(), "{gov:?}: no timeline was attached");
+    }
 }
 
 #[test]

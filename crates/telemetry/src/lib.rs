@@ -37,8 +37,13 @@
 //!
 //! Event emission sites compile to a branch on `Option::is_some` when
 //! telemetry is detached; perfbench's end-to-end `sim_mips`, measured
-//! detached, tracks that cost. Span creation with spans disabled is one
-//! relaxed atomic load (labels are built lazily).
+//! detached, tracks that cost. Attached, telemetry leaves the
+//! simulator's host shortcuts on: a run pays for the events it records,
+//! not for a slower machine loop, and its events and metrics are
+//! byte-identical to those of the shortcut-free reference loop. It can
+//! share the run with the cache observers (cachescope, leak timeline).
+//! Span creation with spans disabled is one relaxed atomic load (labels
+//! are built lazily).
 
 pub mod event;
 pub mod fixed;
