@@ -25,6 +25,12 @@ echo "== perfbench smoke (results-checked benchmark) =="
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
     --workload grid-compute --seed 1 --seconds 1 --trace 0 \
     | grep -E '^(metric|failure|failed_frac)'
+# One second of the what-if service: cold queries on fresh trace seeds
+# (lazy trace generation), warm queries and exact repeats. A non-zero
+# exit means a reply was not ok or a repeat was not byte-identical.
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload whatif --seed 1 --seconds 1 --trace 0 \
+    | grep -E '^(metric|failure|failed_frac)'
 
 echo "== faultgrid smoke (crash-consistency gate) =="
 # Exhaustive injection on the short kernels, sampled injection on two

@@ -69,12 +69,14 @@
 use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use std::io::BufWriter;
 use std::path::Path;
 
 use ehs_compress::Algorithm;
 use ehs_energy::{CapacitorConfig, PowerTrace, TraceKind};
+use ehs_sim::runner::default_trace;
 use ehs_sim::{
     CachescopeConfig, EhsDesign, Extension, FaultKind, GovernorSpec, LeakscopeOptions, SimConfig,
     SimStats, Simulator,
@@ -542,10 +544,12 @@ fn run() -> Result<(), CliError> {
         Some(path) => {
             let f = File::open(path).map_err(|e| CliError::Runtime(format!("{path}: {e}")))?;
             // TraceError names the offending line; prepend the file.
-            PowerTrace::read_text(BufReader::new(f))
-                .map_err(|e| CliError::Runtime(format!("{path}: {e}")))?
+            Arc::new(
+                PowerTrace::read_text(BufReader::new(f))
+                    .map_err(|e| CliError::Runtime(format!("{path}: {e}")))?,
+            )
         }
-        None => PowerTrace::generate(cfg.trace_kind, cfg.trace_seed, 4_000_000),
+        None => default_trace(&cfg),
     };
 
     let program = app.build(scale);

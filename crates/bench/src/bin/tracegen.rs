@@ -65,11 +65,12 @@ fn print_stats(trace: &PowerTrace) {
     let buckets = 60usize.min(trace.len());
     let per = trace.len() / buckets;
     let glyphs: Vec<char> = " .:-=+*#%@".chars().collect();
-    let max = trace.samples().iter().map(|p| p.microwatts()).fold(f64::MIN, f64::max).max(1e-9);
+    let uw: Vec<f64> = trace.samples().map(|p| p.microwatts()).collect();
+    let max = uw.iter().copied().fold(f64::MIN, f64::max).max(1e-9);
     let mut line = String::new();
     for b in 0..buckets {
-        let slice = &trace.samples()[b * per..((b + 1) * per).min(trace.len())];
-        let avg = slice.iter().map(|p| p.microwatts()).sum::<f64>() / slice.len().max(1) as f64;
+        let slice = &uw[b * per..((b + 1) * per).min(uw.len())];
+        let avg = slice.iter().sum::<f64>() / slice.len().max(1) as f64;
         let idx = ((avg / max) * (glyphs.len() - 1) as f64).round() as usize;
         line.push(glyphs[idx.min(glyphs.len() - 1)]);
     }

@@ -69,7 +69,7 @@ pub fn fig11(ctx: &ExpContext) -> Value {
             format!("{:.1}%", stats.stable_fraction * 100.0),
         ]);
         // First 200 windows as a plottable series sample.
-        let sample: Vec<f64> = trace.samples().iter().take(200).map(|p| p.microwatts()).collect();
+        let sample: Vec<f64> = trace.samples().take(200).map(|p| p.microwatts()).collect();
         out_rows.push(json!({
             "trace": kind.name(),
             "mean_uw": stats.mean.microwatts(),

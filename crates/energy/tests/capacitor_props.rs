@@ -87,9 +87,9 @@ proptest! {
         for kind in TraceKind::ALL {
             let a = PowerTrace::generate(kind, seed, len);
             let b = PowerTrace::generate(kind, seed, len);
-            prop_assert_eq!(a.samples().len(), len);
-            prop_assert!(a.samples().iter().all(|p| p.watts() >= 0.0));
-            prop_assert_eq!(a, b);
+            prop_assert_eq!(a.samples().count(), len);
+            prop_assert!(a.samples().all(|p| p.watts() >= 0.0));
+            prop_assert!(a.samples().eq(b.samples()));
         }
     }
 
@@ -100,7 +100,7 @@ proptest! {
         trace.write_text(&mut buf).expect("write to Vec cannot fail");
         let back = PowerTrace::read_text(buf.as_slice()).expect("own output parses");
         prop_assert_eq!(back.len(), trace.len());
-        for (a, b) in trace.samples().iter().zip(back.samples()) {
+        for (a, b) in trace.samples().zip(back.samples()) {
             prop_assert!((a.microwatts() - b.microwatts()).abs() < 1e-5);
         }
     }

@@ -7,6 +7,7 @@
 use kagura::energy::PowerTrace;
 use kagura::mem::Nvm;
 use kagura::model::Power;
+use kagura::sim::runner::DEFAULT_TRACE_LEN;
 use kagura::sim::{EhsDesign, GovernorSpec, SimConfig, Simulator};
 use kagura::workloads::App;
 
@@ -40,7 +41,7 @@ fn assert_memory_equal(mut a: Nvm, mut b: Nvm, context: &str) {
 }
 
 fn intermittent_trace(cfg: &SimConfig) -> PowerTrace {
-    PowerTrace::generate(cfg.trace_kind, cfg.trace_seed, 4_000_000)
+    PowerTrace::generate(cfg.trace_kind, cfg.trace_seed, DEFAULT_TRACE_LEN)
 }
 
 /// A trace so strong the capacitor never drops below `V_ckpt`.
