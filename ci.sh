@@ -25,6 +25,13 @@ echo "== perfbench smoke (results-checked benchmark) =="
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
     --workload grid-compute --seed 1 --seconds 1 --trace 0 \
     | grep -E '^(metric|failure|failed_frac)'
+# One second of the memory-bound fig13 grid plus fig23's four
+# compressors, also checked against results/: these cells run mostly
+# stepped physics (loads and stores end every batched ALU run), which the
+# compute-bound smoke above barely exercises.
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload grid-memory --seed 1 --seconds 1 --trace 0 \
+    | grep -E '^(metric|failure|failed_frac)'
 # One second of the what-if service: cold queries on fresh trace seeds
 # (lazy trace generation), warm queries and exact repeats. A non-zero
 # exit means a reply was not ok or a repeat was not byte-identical.

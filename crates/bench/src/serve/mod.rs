@@ -744,14 +744,16 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let slow = Arc::clone(&core);
         let worker = std::thread::spawn(move || {
-            let line = r#"{"op":"query","id":"slow","app":"sha","scale":0.01}"#;
+            // Long enough to still be in flight when the burst arrives.
+            let line = r#"{"op":"query","id":"slow","app":"sha","scale":0.2}"#;
             tx.send(()).unwrap();
             slow.handle_line(line).unwrap()
         });
         rx.recv().unwrap();
         // Wait until the slow query actually holds its admission slot.
         while core.admitted.load(Ordering::SeqCst) == 0 {
-            std::thread::sleep(Duration::from_millis(1));
+            assert!(!worker.is_finished(), "the slow query finished before it was observed");
+            std::thread::yield_now();
         }
         let v = parsed(
             &core

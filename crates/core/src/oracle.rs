@@ -96,6 +96,11 @@ impl<G: CompressionGovernor> OracleRecorder<G> {
         }
     }
 
+    /// The wrapped governor.
+    pub fn inner(&self) -> &G {
+        &self.inner
+    }
+
     /// Registers one compressing fill; returns its sequence id.
     pub fn record_fill(&mut self) -> usize {
         self.fill_positions.push((self.cycle, self.mem_pos));
@@ -190,6 +195,11 @@ impl<G: CompressionGovernor> OracleReplayer<G> {
     /// Creates a replayer over `trace`.
     pub fn new(inner: G, trace: OracleTrace) -> Self {
         OracleReplayer { inner, trace, cycle: 0, mem_pos: 0 }
+    }
+
+    /// The wrapped governor.
+    pub fn inner(&self) -> &G {
+        &self.inner
     }
 
     /// Current power-cycle index.

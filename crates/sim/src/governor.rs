@@ -106,15 +106,16 @@ impl Governor {
     /// `true` when [`CompressionGovernor::on_voltage`] can observably act
     /// for this policy, i.e. the per-instruction voltage sample must not be
     /// skipped. Only Kagura reacts to voltage (and only with a
-    /// [`TriggerKind::Voltage`] trigger); the oracle wrappers around Kagura
-    /// are counted conservatively because they delegate to an inner Kagura
-    /// whose trigger this method does not inspect.
+    /// [`TriggerKind::Voltage`] trigger); the oracle wrappers delegate
+    /// `on_voltage` to their inner Kagura, so its trigger decides for them.
     pub fn voltage_sensitive(&self) -> bool {
-        match self {
-            Governor::Kagura(k) => matches!(k.config().trigger, TriggerKind::Voltage { .. }),
-            Governor::RecordKagura(_) | Governor::ReplayKagura(_) => true,
-            _ => false,
-        }
+        let kagura = match self {
+            Governor::Kagura(k) => k,
+            Governor::RecordKagura(r) => r.inner(),
+            Governor::ReplayKagura(r) => r.inner(),
+            _ => return false,
+        };
+        matches!(kagura.config().trigger, TriggerKind::Voltage { .. })
     }
 
     /// Oracle recording: registers a compressing fill, returning its id.
@@ -276,6 +277,19 @@ mod tests {
             ..KaguraConfig::default()
         });
         assert!(vol.uses_voltage_trigger());
+    }
+
+    #[test]
+    fn oracle_wrappers_take_their_inner_trigger() {
+        let voltage =
+            KaguraConfig { trigger: TriggerKind::Voltage { fraction: 0.2 }, ..Default::default() };
+        let trace = || Governor::record_acc().into_oracle_trace().expect("recorder");
+        for (cfg, sensitive) in [(KaguraConfig::default(), false), (voltage, true)] {
+            assert_eq!(Governor::kagura(cfg).voltage_sensitive(), sensitive);
+            assert_eq!(Governor::record_kagura(cfg).voltage_sensitive(), sensitive);
+            assert_eq!(Governor::replay_kagura(cfg, trace()).voltage_sensitive(), sensitive);
+        }
+        assert!(!Governor::record_acc().voltage_sensitive());
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! modes, identical whether attached alone or together, and never
 //! perturbing the stats.
 
+use std::time::Duration;
+
 use ehs_compress::Algorithm;
 use ehs_energy::PowerTrace;
 use ehs_mem::{ImageKind, MemoryImage};
@@ -120,8 +122,16 @@ fn fast_forward_matches_reference_for_voltage_triggered_kagura() {
 #[test]
 fn fast_forward_matches_reference_for_ideal_governors() {
     // Oracle record + replay phases both run with shortcuts on; the
-    // recording phase keeps shadow tags and deep-hit credit live.
-    for gov in [GovernorSpec::IdealAcc, GovernorSpec::IdealAccKagura(Default::default())] {
+    // recording phase keeps shadow tags and deep-hit credit live. The
+    // oracle wrappers batch exactly when their inner Kagura's trigger
+    // allows it, so both triggers are covered.
+    let voltage =
+        KaguraConfig { trigger: TriggerKind::Voltage { fraction: 0.5 }, ..Default::default() };
+    for gov in [
+        GovernorSpec::IdealAcc,
+        GovernorSpec::IdealAccKagura(Default::default()),
+        GovernorSpec::IdealAccKagura(voltage),
+    ] {
         let cfg = SimConfig::table1().with_governor(gov);
         assert_loops_match(App::Gsm, 0.004, &cfg);
     }
@@ -134,6 +144,24 @@ fn fast_forward_matches_reference_under_extensions() {
             let mut cfg = SimConfig::table1().with_governor(GovernorSpec::Acc);
             cfg.extension = ext;
             assert_loops_match(app, 0.004, &cfg);
+        }
+    }
+}
+
+#[test]
+fn wall_budget_does_not_change_stats() {
+    // Batching stays on under a wall-clock budget (every served query
+    // carries one); a budget that never fires must leave the stats as
+    // they are without it.
+    for gov in [GovernorSpec::Acc, GovernorSpec::IdealAccKagura(Default::default())] {
+        let cfg = SimConfig::table1().with_governor(gov);
+        let budgeted = cfg.clone().with_step_budget(StepBudget::wall(Duration::from_secs(60)));
+        for app in [App::Sha, App::Jpegd] {
+            assert_eq!(
+                ehs_sim::run_app(app, 0.02, &budgeted),
+                ehs_sim::run_app(app, 0.02, &cfg),
+                "{app:?} {gov:?}"
+            );
         }
     }
 }
