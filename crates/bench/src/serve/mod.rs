@@ -24,9 +24,9 @@
 //!   budget and the server default, so a pathological query returns
 //!   `budget_exhausted` instead of wedging a worker.
 //! * **Failure containment** — simulations run through
-//!   [`ehs_sim::parallel::run_job_with`]: panics come back as typed
-//!   `sim_failed` errors (the `JobFailure` taxonomy), transient
-//!   failures retry deterministically with backoff.
+//!   [`ehs_sim::parallel::run_job`]: panics come back as typed
+//!   `sim_failed` errors (the `JobFailure` taxonomy). A simulation is
+//!   deterministic, so a failed one is not retried.
 //! * **Graceful degradation** — SIGTERM, stdin EOF or a
 //!   `{"op":"shutdown"}` request starts a drain: in-flight requests
 //!   finish, new queries get `shutting_down`, and the cache journal is
@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ehs_sim::{parallel, GovernorSpec, JobFailure, RetryPolicy, SimJob, SimStats, StepBudget};
+use ehs_sim::{parallel, GovernorSpec, JobFailure, SimJob, SimStats, StepBudget};
 use ehs_telemetry::{Counter, Event, Gauge, HistogramId, MetricsRegistry, Stamped};
 use serde_json::{json, Value};
 
@@ -469,13 +469,11 @@ impl Core {
         let mut candidate_cfg = query.cfg.clone();
         candidate_cfg.step_budget = budget;
 
-        let policy = RetryPolicy::default();
-        let baseline =
-            parallel::run_job_with(SimJob::new(query.app, query.scale, baseline_cfg), policy)?;
+        let baseline = parallel::run_job(SimJob::new(query.app, query.scale, baseline_cfg))?;
         let candidate = if query.governor == "baseline" {
             baseline.clone()
         } else {
-            parallel::run_job_with(SimJob::new(query.app, query.scale, candidate_cfg), policy)?
+            parallel::run_job(SimJob::new(query.app, query.scale, candidate_cfg))?
         };
 
         let metrics = cell_metrics(&baseline, &candidate);

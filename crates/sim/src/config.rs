@@ -114,6 +114,17 @@ impl GovernorSpec {
     pub fn is_ideal(&self) -> bool {
         matches!(self, GovernorSpec::IdealAcc | GovernorSpec::IdealAccKagura(_))
     }
+
+    /// The spec whose plain run an ideal spec's recording pass is: ACC
+    /// for [`GovernorSpec::IdealAcc`], ACC+Kagura for
+    /// [`GovernorSpec::IdealAccKagura`]. `None` for every other spec.
+    pub fn recording_twin(&self) -> Option<GovernorSpec> {
+        match *self {
+            GovernorSpec::IdealAcc => Some(GovernorSpec::Acc),
+            GovernorSpec::IdealAccKagura(k) => Some(GovernorSpec::AccKagura(k)),
+            _ => None,
+        }
+    }
 }
 
 /// Cooperative per-job watchdog budget, checked in the simulator's step

@@ -96,19 +96,14 @@ impl Governor {
         Governor::ReplayKagura(OracleReplayer::new(Kagura::new(cfg, Acc::new()), trace))
     }
 
-    /// `true` when the policy needs a voltage-trigger threshold on the
-    /// monitor (Kagura with [`TriggerKind::Voltage`]).
+    /// `true` when the policy runs Kagura with a [`TriggerKind::Voltage`]
+    /// trigger. Such a policy needs the trigger threshold (and its
+    /// standby draw) on the voltage monitor, and its per-instruction
+    /// voltage sample must not be skipped, since
+    /// [`CompressionGovernor::on_voltage`] can observably act. The oracle
+    /// wrappers run their inner Kagura as deployed, so its trigger
+    /// decides for them.
     pub fn uses_voltage_trigger(&self) -> bool {
-        matches!(self, Governor::Kagura(k)
-            if matches!(k.config().trigger, TriggerKind::Voltage { .. }))
-    }
-
-    /// `true` when [`CompressionGovernor::on_voltage`] can observably act
-    /// for this policy, i.e. the per-instruction voltage sample must not be
-    /// skipped. Only Kagura reacts to voltage (and only with a
-    /// [`TriggerKind::Voltage`] trigger); the oracle wrappers delegate
-    /// `on_voltage` to their inner Kagura, so its trigger decides for them.
-    pub fn voltage_sensitive(&self) -> bool {
         let kagura = match self {
             Governor::Kagura(k) => k,
             Governor::RecordKagura(r) => r.inner(),
@@ -116,6 +111,18 @@ impl Governor {
             _ => return false,
         };
         matches!(kagura.config().trigger, TriggerKind::Voltage { .. })
+    }
+
+    /// The Kagura controller whose state the run reports
+    /// (`SimStats::kagura_state`, `rm_bypassed_fills`): the deployed one,
+    /// or the one an oracle recording pass runs unchanged. `None` for the
+    /// replayer, whose decisions the recorded trace overrides.
+    pub(crate) fn reported_kagura(&self) -> Option<&Kagura<Acc>> {
+        match self {
+            Governor::Kagura(k) => Some(k),
+            Governor::RecordKagura(r) => Some(r.inner()),
+            _ => None,
+        }
     }
 
     /// Oracle recording: registers a compressing fill, returning its id.
@@ -269,27 +276,19 @@ mod tests {
     }
 
     #[test]
-    fn voltage_trigger_detection() {
-        let mem = Governor::kagura(KaguraConfig::default());
-        assert!(!mem.uses_voltage_trigger());
-        let vol = Governor::kagura(KaguraConfig {
-            trigger: TriggerKind::Voltage { fraction: 0.2 },
-            ..KaguraConfig::default()
-        });
-        assert!(vol.uses_voltage_trigger());
-    }
-
-    #[test]
     fn oracle_wrappers_take_their_inner_trigger() {
         let voltage =
             KaguraConfig { trigger: TriggerKind::Voltage { fraction: 0.2 }, ..Default::default() };
         let trace = || Governor::record_acc().into_oracle_trace().expect("recorder");
-        for (cfg, sensitive) in [(KaguraConfig::default(), false), (voltage, true)] {
-            assert_eq!(Governor::kagura(cfg).voltage_sensitive(), sensitive);
-            assert_eq!(Governor::record_kagura(cfg).voltage_sensitive(), sensitive);
-            assert_eq!(Governor::replay_kagura(cfg, trace()).voltage_sensitive(), sensitive);
+        for (cfg, voltage_trigger) in [(KaguraConfig::default(), false), (voltage, true)] {
+            assert_eq!(Governor::kagura(cfg).uses_voltage_trigger(), voltage_trigger);
+            assert_eq!(Governor::record_kagura(cfg).uses_voltage_trigger(), voltage_trigger);
+            assert_eq!(
+                Governor::replay_kagura(cfg, trace()).uses_voltage_trigger(),
+                voltage_trigger
+            );
         }
-        assert!(!Governor::record_acc().voltage_sensitive());
+        assert!(!Governor::record_acc().uses_voltage_trigger());
     }
 
     #[test]

@@ -58,9 +58,6 @@ pub use fleet::{FleetCell, FleetSpec, Permutation};
 pub use governor::Governor;
 pub use leakscope::{attack_cell, attack_trace, CellAttackReport, GuessProbe, LeakscopeOptions};
 pub use machine::{FaultKind, Observed, Simulator};
-pub use parallel::{
-    pool_in_flight, run_batch, run_batch_with, run_job, run_job_with, JobFailure, RetryPolicy,
-    SimJob,
-};
+pub use parallel::{pool_in_flight, run_batch, run_job, JobFailure, SimJob};
 pub use runner::{run_app, run_program};
 pub use stats::{ConsistencyReport, CycleRecord, SimStats};

@@ -514,28 +514,59 @@ impl<'p> Simulator<'p> {
     /// `cfg.governor` names.
     ///
     /// Ideal (two-phase) specs — paper Fig 13's "ideal" methodology —
-    /// resolve here: the recording pass runs to completion first, and the
-    /// returned simulator is the replay phase, which compresses only the
-    /// fills the recording found useful. Observers attached to it see the
-    /// replay only; the recording pass is oracle scaffolding, not the
-    /// behaviour under study.
+    /// resolve here through [`Simulator::record_oracle`]: the recording
+    /// pass runs to completion first, and the returned simulator is the
+    /// replay phase, which compresses only the fills the recording found
+    /// useful. Observers attached to it see the replay only; the
+    /// recording pass is oracle scaffolding, not the behaviour under
+    /// study.
     pub fn new(cfg: SimConfig, program: &'p KernelProgram, trace: &'p PowerTrace) -> Self {
         use crate::config::GovernorSpec as GS;
-        let record = |recorder: Governor| {
-            Self::with_governor(cfg.clone(), program, trace, recorder).run_recording().1
-        };
         let gov = match cfg.governor {
             GS::NoCompression => Governor::none(),
             GS::AlwaysCompress => Governor::always(),
             GS::Acc => Governor::acc(),
             GS::AccKagura(kcfg) => Governor::kagura(kcfg),
             GS::RandThreshold(rcfg) => Governor::rand_threshold(rcfg),
-            GS::IdealAcc => Governor::replay_acc(record(Governor::record_acc())),
-            GS::IdealAccKagura(kcfg) => {
-                Governor::replay_kagura(kcfg, record(Governor::record_kagura(kcfg)))
-            }
+            GS::IdealAcc | GS::IdealAccKagura(_) => Self::record_oracle(&cfg, program, trace).1,
         };
         Self::with_governor(cfg, program, trace, gov)
+    }
+
+    /// Phase 1 of an ideal spec: runs the recording pass and returns its
+    /// stats with the phase-2 replay governor.
+    ///
+    /// The recording pass behaves exactly like the spec's twin — ACC for
+    /// [`GovernorSpec::IdealAcc`](crate::config::GovernorSpec::IdealAcc),
+    /// ACC+Kagura for `IdealAccKagura` — so its stats are the twin's
+    /// plain [`Simulator::run`] under `cfg` with only the governor
+    /// changed, bit for bit (asserted by `tests/fastpath.rs`). The worker
+    /// pool relies on this to serve a batch's twin cell from its ideal
+    /// cell's recording pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.governor` is not an ideal spec.
+    pub fn record_oracle(
+        cfg: &SimConfig,
+        program: &'p KernelProgram,
+        trace: &'p PowerTrace,
+    ) -> (SimStats, Governor) {
+        use crate::config::GovernorSpec as GS;
+        let record = |recorder: Governor| {
+            Self::with_governor(cfg.clone(), program, trace, recorder).run_recording()
+        };
+        match cfg.governor {
+            GS::IdealAcc => {
+                let (stats, oracle) = record(Governor::record_acc());
+                (stats, Governor::replay_acc(oracle))
+            }
+            GS::IdealAccKagura(kcfg) => {
+                let (stats, oracle) = record(Governor::record_kagura(kcfg));
+                (stats, Governor::replay_kagura(kcfg, oracle))
+            }
+            other => panic!("{} is not an ideal governor spec", other.label()),
+        }
     }
 
     /// Builds a simulator with an explicit governor instance (the ideal
@@ -658,34 +689,34 @@ impl<'p> Simulator<'p> {
     /// power failures leave exactly the same bytes as a failure-free run.
     pub fn run_with_memory(mut self) -> (SimStats, Nvm) {
         self.run_and_flush();
-        let nvm = self.nvm.clone();
-        (self.finish(), nvm)
+        let stats = self.finish();
+        (stats, self.nvm)
     }
 
     /// Runs the machine loop, then flushes residual dirty state so the
     /// NVM reflects architectural memory (free: this is an observation,
-    /// not a simulated event). Every entry point but the oracle's
-    /// recording pass ends this way, so their stats stay byte-identical
-    /// — `for_each_dirty` counts the flush's decompressions.
+    /// not a simulated event). Every entry point ends this way, the
+    /// oracle's recording pass included, so their stats stay
+    /// byte-identical — `for_each_dirty` counts the flush's
+    /// decompressions.
     fn run_and_flush(&mut self) {
         self.run_loop();
         let nvm = &mut self.nvm;
         self.dcache.for_each_dirty(|addr, data, _| nvm.store_silent_from(addr, data));
     }
 
-    /// Extracts the oracle trace after a recording run.
+    /// Runs an oracle recording pass: the same stats as
+    /// [`Simulator::run`] under the recorder's inner governor, plus the
+    /// oracle trace the recorder logged.
     ///
     /// # Panics
     ///
     /// Panics if the governor is not a recorder.
-    pub fn run_recording(self) -> (SimStats, kagura_core::OracleTrace) {
-        let mut sim = self;
-        sim.run_loop();
-        let completed = sim.inst_index >= sim.program.len();
-        let gov = std::mem::replace(&mut sim.gov, Governor::none());
-        let mut stats = sim.finish();
-        stats.completed = completed;
-        let trace = gov.into_oracle_trace().expect("run_recording requires a recording governor");
+    pub fn run_recording(mut self) -> (SimStats, kagura_core::OracleTrace) {
+        self.run_and_flush();
+        let stats = self.finish();
+        let trace =
+            self.gov.into_oracle_trace().expect("run_recording requires a recording governor");
         (stats, trace)
     }
 
@@ -897,7 +928,7 @@ impl<'p> Simulator<'p> {
             + mon_leak;
         // Only the differential oracle's baseline turns the shortcuts off.
         let reference = self.cfg.exec == ExecMode::Reference;
-        let voltage_sensitive = reference || self.gov.voltage_sensitive();
+        let voltage_sensitive = reference || self.gov.uses_voltage_trigger();
         let ctx = RunCtx {
             i_ways: self.cfg.system.icache.ways,
             d_ways: self.cfg.system.dcache.ways,
@@ -1103,7 +1134,7 @@ impl<'p> Simulator<'p> {
         None
     }
 
-    fn finish(mut self) -> SimStats {
+    fn finish(&mut self) -> SimStats {
         // Close and audit the final (partial) cycle's ledger row — flows
         // since the last boundary must balance too. Instrumented entry
         // points detach telemetry before finishing, so a violation here
@@ -1118,7 +1149,7 @@ impl<'p> Simulator<'p> {
             self.cycles_done += 1;
         }
         self.stats.power_cycle_count = self.cycles_done;
-        if let Governor::Kagura(k) = &self.gov {
+        if let Some(k) = self.gov.reported_kagura() {
             self.stats.kagura_state = Some((k.registers(), k.rm_entries()));
         }
         self.stats.completed = self.inst_index >= self.program.len();
@@ -1130,7 +1161,7 @@ impl<'p> Simulator<'p> {
         self.stats.breakdown = self.phys.breakdown;
         self.stats.harvested = self.phys.harvested;
         self.stats.cap_leak = self.phys.cap_leak;
-        self.stats
+        std::mem::take(&mut self.stats)
     }
 
     /// Spends `amount` from the capacitor and books it to `category`.
@@ -1275,7 +1306,7 @@ impl<'p> Simulator<'p> {
     }
 
     fn in_rm(&self) -> bool {
-        matches!(&self.gov, Governor::Kagura(k) if k.mode() == Mode::Regular)
+        self.gov.reported_kagura().is_some_and(|k| k.mode() == Mode::Regular)
     }
 
     fn forget_fill(&mut self, addr: Address, is_dcache: bool) {

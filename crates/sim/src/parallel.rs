@@ -41,26 +41,47 @@
 //! `Result<SimStats, JobFailure>`, so one dead grid cell degrades to one
 //! failed report cell instead of poisoning the whole batch. The
 //! [`JobFailure`] taxonomy distinguishes panics, watchdog cancellations
-//! ([`crate::config::StepBudget`]), workers that died without storing a
-//! result, and transient failures that still failed after bounded
-//! retry-with-backoff ([`RetryPolicy`]). Every terminal failure and
-//! retry is mirrored into the pool's harness event log
-//! ([`drain_pool_events`]) as `JobFailed`/`JobRetried`/`JobTimedOut`
-//! events, and per-job latency lands in the pool metrics
-//! ([`pool_metrics`]), so the orchestration layer is observable end to
-//! end.
+//! ([`crate::config::StepBudget`]) and workers that died without storing
+//! a result. Simulations are deterministic, so a failed job is not
+//! retried: it would fail again. Every failure is mirrored into the
+//! pool's harness event log ([`drain_pool_events`]) as
+//! `JobFailed`/`JobTimedOut` events under the job's submission index,
+//! and per-pass latency lands in the pool metrics ([`pool_metrics`]), so
+//! the orchestration layer is observable end to end.
+//!
+//! # Oracle twins
+//!
+//! An ideal job ([`GovernorSpec::is_ideal`]) first runs a recording
+//! pass, and that pass is the plain run of its *twin* spec
+//! ([`GovernorSpec::recording_twin`]: ACC for ideal ACC, ACC+Kagura for
+//! ideal ACC+Kagura), bit for bit. So when a batch holds both an ideal
+//! job and its twin — the same app and scale, and a config equal in every
+//! field but `governor` — [`run_batch`] runs them as one pool item: the
+//! recording pass's stats are the twin's result, and its oracle trace
+//! feeds the replay that gives the ideal result. Each ideal job, in
+//! submission order, takes the first twin not yet taken; every other job
+//! runs alone. Results stay in submission order and equal those of
+//! running each job alone, failures included: a pass that panics or
+//! times out fails its cell as it would alone, and a panicking recording
+//! pass fails both cells. The pool counts cells, not items: one
+//! `jobs_ok` per successful cell, and one `sim` span and one
+//! `job_latency_ms` sample per pass.
+//!
+//! [`GovernorSpec::is_ideal`]: crate::config::GovernorSpec::is_ideal
+//! [`GovernorSpec::recording_twin`]: crate::config::GovernorSpec::recording_twin
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ehs_telemetry::{spans, Event, MetricsRegistry, Stamped};
 use ehs_workloads::App;
 
 use crate::config::SimConfig;
-use crate::runner::run_app;
+use crate::machine::Simulator;
+use crate::runner::{default_trace, run_app};
 use crate::stats::SimStats;
 
 /// Process-wide worker cap; 0 means "unset, use available parallelism".
@@ -127,11 +148,6 @@ impl Drop for Permit {
 }
 
 /// Why one batch job failed, without taking the rest of the batch down.
-///
-/// Classification drives the retry machinery: only
-/// [`JobFailure::is_transient`] failures are re-attempted, and a job
-/// that stays transiently broken after [`RetryPolicy::max_attempts`]
-/// surfaces as [`JobFailure::Retryable`] with its attempt count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobFailure {
     /// The simulation panicked; the message names the workload × policy.
@@ -152,36 +168,15 @@ pub enum JobFailure {
     /// failure rather than an assertion so one broken worker cannot
     /// poison the batch).
     WorkerDied,
-    /// A failure classed transient that persisted through every retry.
-    Retryable {
-        /// The last attempt's failure text.
-        message: String,
-        /// Total attempts made (the first run plus all retries).
-        attempts: u32,
-    },
 }
 
-/// Marker that classifies a panic as transient: panics whose payload
-/// contains this substring are retried under the batch's
-/// [`RetryPolicy`]. Simulations are pure functions of their inputs, so
-/// genuine nondeterministic failures can only come from the host
-/// environment (or an injected test flake) — both of which opt in by
-/// carrying the marker.
-pub const TRANSIENT_MARKER: &str = "transient";
-
 impl JobFailure {
-    /// `true` for failures worth retrying (see [`TRANSIENT_MARKER`]).
-    pub fn is_transient(&self) -> bool {
-        matches!(self, JobFailure::Panicked { message } if message.contains(TRANSIENT_MARKER))
-    }
-
     /// Stable machine-readable tag for failure manifests.
     pub fn kind(&self) -> &'static str {
         match self {
             JobFailure::Panicked { .. } => "panic",
             JobFailure::TimedOut { .. } => "timeout",
             JobFailure::WorkerDied => "worker-died",
-            JobFailure::Retryable { .. } => "retry-exhausted",
         }
     }
 }
@@ -196,45 +191,15 @@ impl fmt::Display for JobFailure {
             JobFailure::WorkerDied => {
                 write!(f, "worker died before storing a result")
             }
-            JobFailure::Retryable { message, attempts } => {
-                write!(f, "still failing after {attempts} attempts: {message}")
-            }
         }
     }
 }
 
 impl std::error::Error for JobFailure {}
 
-/// Bounded retry-with-backoff for transient job failures.
-///
-/// Retry round *k* (1-based) sleeps `base_backoff × 2^(k−1)` before
-/// re-submitting the still-failing jobs, so a busy host gets geometric
-/// breathing room. The schedule is deterministic — same failures, same
-/// attempt counts — which keeps batch results reproducible under a
-/// seeded flaky-job injector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per job, the first run included (min 1).
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles every further round.
-    pub base_backoff: Duration,
-}
-
-impl RetryPolicy {
-    /// No retries at all: every failure is terminal.
-    pub const NONE: RetryPolicy =
-        RetryPolicy { max_attempts: 1, base_backoff: Duration::from_millis(0) };
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 3, base_backoff: Duration::from_millis(20) }
-    }
-}
-
 /// Process-wide pool observability: harness-level job events plus a
-/// metrics registry with per-job latency histograms. Guarded by one
-/// mutex — all updates happen at job boundaries, never in the
+/// metrics registry with per-pass latency histograms. Guarded by one
+/// mutex — all updates happen at pass and batch boundaries, never in the
 /// simulation hot path.
 struct PoolTelemetry {
     /// Wall-clock origin for event stamps (`t_us` = µs since this).
@@ -244,7 +209,6 @@ struct PoolTelemetry {
     latency_ms: ehs_telemetry::HistogramId,
     jobs_ok: ehs_telemetry::Counter,
     jobs_failed: ehs_telemetry::Counter,
-    jobs_retried: ehs_telemetry::Counter,
     jobs_timed_out: ehs_telemetry::Counter,
 }
 
@@ -264,7 +228,6 @@ fn pool() -> &'static Mutex<PoolTelemetry> {
             metrics.histogram("job_latency_ms", &[1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1e3, 1e4]);
         let jobs_ok = metrics.counter("jobs_ok");
         let jobs_failed = metrics.counter("jobs_failed");
-        let jobs_retried = metrics.counter("jobs_retried");
         let jobs_timed_out = metrics.counter("jobs_timed_out");
         Mutex::new(PoolTelemetry {
             start: Instant::now(),
@@ -273,21 +236,20 @@ fn pool() -> &'static Mutex<PoolTelemetry> {
             latency_ms,
             jobs_ok,
             jobs_failed,
-            jobs_retried,
             jobs_timed_out,
         })
     })
 }
 
 /// Drains the pool's accumulated harness events
-/// (`JobFailed`/`JobRetried`/`JobTimedOut`). Stamps are host wall-clock
-/// microseconds since the pool first ran a batch; `cycle` is always 0.
+/// (`JobFailed`/`JobTimedOut`). Stamps are host wall-clock microseconds
+/// since the pool first ran a batch; `cycle` is always 0.
 pub fn drain_pool_events() -> Vec<Stamped> {
     std::mem::take(&mut pool().lock().unwrap_or_else(|e| e.into_inner()).events)
 }
 
-/// A snapshot of the pool's metrics: per-job latency histogram
-/// (`job_latency_ms`) and `jobs_ok`/`jobs_failed`/`jobs_retried`/
+/// A snapshot of the pool's metrics: per-pass latency histogram
+/// (`job_latency_ms`) and per-cell `jobs_ok`/`jobs_failed`/
 /// `jobs_timed_out` counters.
 pub fn pool_metrics() -> MetricsRegistry {
     pool().lock().unwrap_or_else(|e| e.into_inner()).metrics.clone()
@@ -315,27 +277,59 @@ impl SimJob {
         self
     }
 
-    /// Runs the job with both failure modes contained: a panic comes
-    /// back as [`JobFailure::Panicked`] with the workload × policy
-    /// attached, a watchdog cancellation as [`JobFailure::TimedOut`].
-    fn try_run(self) -> Result<SimStats, JobFailure> {
-        // The span label names the workload and policy; its cost is only
-        // paid when span recording is enabled (see `ehs_telemetry::spans`).
-        let label = format!("{}:{}", self.app, self.cfg.governor.label());
-        let _span = spans::span("sim", || label.clone());
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_app(self.app, self.scale, &self.cfg)
-        })) {
-            Ok(stats) => match stats.budget_exhausted {
-                Some(ref reason) => Err(JobFailure::TimedOut {
-                    detail: format!("simulation {label}: {reason}"),
-                    executed_insts: stats.executed_insts,
-                }),
-                None => Ok(stats),
-            },
-            Err(payload) => Err(JobFailure::Panicked {
-                message: format!("simulation {label} panicked: {}", panic_message(&*payload)),
+    /// Names the workload and policy in spans and failure messages.
+    fn label(&self) -> String {
+        format!("{}:{}", self.app, self.cfg.governor.label())
+    }
+
+    /// `true` when this job's plain run is the recording pass of the
+    /// ideal job `ideal`: the same app and scale, and a config equal to
+    /// `ideal`'s in every field but the governor, which is `ideal`'s
+    /// [`crate::config::GovernorSpec::recording_twin`].
+    fn is_twin_of(&self, ideal: &SimJob) -> bool {
+        ideal.cfg.governor.recording_twin() == Some(self.cfg.governor)
+            && self.app == ideal.app
+            && self.scale == ideal.scale
+            && self.cfg == SimConfig { governor: self.cfg.governor, ..ideal.cfg.clone() }
+    }
+
+    /// Runs the job alone, with both failure modes contained.
+    fn run_alone(self) -> Result<SimStats, JobFailure> {
+        let label = self.label();
+        judge(&label, pass(&label, || run_app(self.app, self.scale, &self.cfg)))
+    }
+}
+
+/// Runs one simulation pass under a `sim` span named `label` and records
+/// its latency in the pool's `job_latency_ms` histogram. A panic comes
+/// back as its payload text. The span costs nothing unless span
+/// recording is enabled (see `ehs_telemetry::spans`).
+fn pass(label: &str, f: impl FnOnce() -> SimStats) -> Result<SimStats, String> {
+    let _span = spans::span("sim", || label.to_string());
+    let t0 = Instant::now();
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .map_err(|payload| panic_message(&*payload).to_string());
+    let ms = t0.elapsed().as_secs_f64() * 1e3;
+    let mut p = pool().lock().unwrap_or_else(|e| e.into_inner());
+    let latency = p.latency_ms;
+    p.metrics.observe(latency, ms);
+    outcome
+}
+
+/// A cell's result from the pass that produced it: a panic becomes
+/// [`JobFailure::Panicked`] and a watchdog cancellation
+/// [`JobFailure::TimedOut`], both naming the cell's `label`.
+fn judge(label: &str, outcome: Result<SimStats, String>) -> Result<SimStats, JobFailure> {
+    match outcome {
+        Ok(stats) => match stats.budget_exhausted {
+            Some(ref reason) => Err(JobFailure::TimedOut {
+                detail: format!("simulation {label}: {reason}"),
+                executed_insts: stats.executed_insts,
             }),
+            None => Ok(stats),
+        },
+        Err(payload) => {
+            Err(JobFailure::Panicked { message: format!("simulation {label} panicked: {payload}") })
         }
     }
 }
@@ -350,127 +344,152 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("<non-string panic payload>")
 }
 
-/// Runs a batch of simulation jobs on the worker pool under the default
-/// [`RetryPolicy`], containing every failure.
-///
-/// `results[i]` always corresponds to `jobs[i]`, regardless of job count
-/// or completion order. A panicking, hanging (budget-cancelled) or
-/// worker-killed job degrades to `Err(JobFailure)` in its own slot; the
-/// rest of the batch completes untouched.
-pub fn run_batch(jobs: Vec<SimJob>) -> Vec<Result<SimStats, JobFailure>> {
-    run_batch_with(jobs, RetryPolicy::default())
+/// One pool item of a batch: a job with its submission index, and the
+/// ideal job, if any, whose recording pass is that job's run (see the
+/// module docs).
+struct Item {
+    job: (usize, SimJob),
+    ideal: Option<(usize, SimJob)>,
 }
 
-/// [`run_batch`] with an explicit retry policy.
-///
-/// Per-job latency is recorded into the pool's `job_latency_ms`
-/// histogram, and every terminal failure emits a `JobFailed` (plus
-/// `JobTimedOut` for watchdog cancellations) into the pool event log.
-pub fn run_batch_with(jobs: Vec<SimJob>, policy: RetryPolicy) -> Vec<Result<SimStats, JobFailure>> {
-    let results = try_map_retry(
-        jobs,
-        |job: SimJob| {
-            let t0 = Instant::now();
-            let outcome = job.try_run();
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            let mut p = pool().lock().unwrap_or_else(|e| e.into_inner());
-            let (latency, ok) = (p.latency_ms, p.jobs_ok);
-            p.metrics.observe(latency, ms);
-            if outcome.is_ok() {
-                p.metrics.inc(ok, 1);
+impl Item {
+    /// The submission indices of the item's cells, in the order
+    /// [`Item::run`] returns their results.
+    fn cells(&self) -> Vec<usize> {
+        std::iter::once(self.job.0).chain(self.ideal.as_ref().map(|ideal| ideal.0)).collect()
+    }
+
+    fn run(self) -> Vec<Result<SimStats, JobFailure>> {
+        let (twin, ideal) = match self.ideal {
+            None => return vec![self.job.1.run_alone()],
+            Some((_, ideal)) => (self.job.1, ideal),
+        };
+        let (twin_label, ideal_label) = (twin.label(), ideal.label());
+        let mut replay = None;
+        let recorded = pass(&twin_label, || {
+            let program = ideal.app.build(ideal.scale);
+            let trace = default_trace(&ideal.cfg);
+            let (stats, gov) = Simulator::record_oracle(&ideal.cfg, &program, &trace);
+            replay = Some((program, trace, gov));
+            stats
+        });
+        let replayed = match replay {
+            Some((program, trace, gov)) => pass(&ideal_label, || {
+                Simulator::with_governor(ideal.cfg, &program, &trace, gov).run()
+            }),
+            // Only a panic leaves no replay governor, and alone the ideal
+            // job would have died in the same recording pass.
+            None => recorded.clone(),
+        };
+        vec![judge(&twin_label, recorded), judge(&ideal_label, replayed)]
+    }
+}
+
+/// Groups a batch into pool items, ordered by each item's first cell.
+/// Each ideal job, in submission order, pairs with the first twin
+/// ([`SimJob::is_twin_of`]) that no earlier ideal job took.
+fn pool_items(jobs: Vec<SimJob>) -> Vec<Item> {
+    let n = jobs.len();
+    let mut partner: Vec<Option<usize>> = vec![None; n];
+    for i in 0..n {
+        if jobs[i].cfg.governor.is_ideal() {
+            let twin = (0..n).find(|&j| partner[j].is_none() && jobs[j].is_twin_of(&jobs[i]));
+            if let Some(j) = twin {
+                partner[i] = Some(j);
+                partner[j] = Some(i);
             }
-            outcome
-        },
-        policy,
-    );
-    let mut p = pool().lock().unwrap_or_else(|e| e.into_inner());
-    for (i, result) in results.iter().enumerate() {
-        if let Err(failure) = result {
-            if let JobFailure::TimedOut { executed_insts, .. } = failure {
-                let timed_out = p.jobs_timed_out;
-                p.metrics.inc(timed_out, 1);
-                p.emit(Event::JobTimedOut { job: i as u64, executed_insts: *executed_insts });
-            }
-            let failed = p.jobs_failed;
-            p.metrics.inc(failed, 1);
-            p.emit(Event::JobFailed { job: i as u64, reason: failure.to_string() });
         }
     }
+    let mut slots: Vec<Option<SimJob>> = jobs.into_iter().map(Some).collect();
+    let mut items = Vec::new();
+    for i in 0..n {
+        let Some(job) = slots[i].take() else { continue };
+        let other = partner[i].map(|j| (j, slots[j].take().expect("a job pairs at most once")));
+        items.push(match other {
+            Some(ideal) if !job.cfg.governor.is_ideal() => {
+                Item { job: (i, job), ideal: Some(ideal) }
+            }
+            Some(twin) => Item { job: twin, ideal: Some((i, job)) },
+            None => Item { job: (i, job), ideal: None },
+        });
+    }
+    items
+}
+
+/// Counts finished cells in the pool metrics: `jobs_ok` per success,
+/// and per failure `jobs_failed` with a `JobFailed` event (plus
+/// `jobs_timed_out` and `JobTimedOut` for a watchdog cancellation) under
+/// the cell's index in `results`.
+fn count_cells(results: &[Result<SimStats, JobFailure>]) {
+    let mut p = pool().lock().unwrap_or_else(|e| e.into_inner());
+    for (i, result) in results.iter().enumerate() {
+        let failure = match result {
+            Ok(_) => {
+                let ok = p.jobs_ok;
+                p.metrics.inc(ok, 1);
+                continue;
+            }
+            Err(failure) => failure,
+        };
+        if let JobFailure::TimedOut { executed_insts, .. } = failure {
+            let timed_out = p.jobs_timed_out;
+            p.metrics.inc(timed_out, 1);
+            p.emit(Event::JobTimedOut { job: i as u64, executed_insts: *executed_insts });
+        }
+        let failed = p.jobs_failed;
+        p.metrics.inc(failed, 1);
+        p.emit(Event::JobFailed { job: i as u64, reason: failure.to_string() });
+    }
+}
+
+/// Runs a batch of simulation jobs on the worker pool, containing every
+/// failure.
+///
+/// `results[i]` always corresponds to `jobs[i]`, regardless of job count
+/// or completion order, and equals [`run_job`]`(jobs[i])`: ideal jobs
+/// that share their recording pass with a twin (see the module docs)
+/// included. A panicking, hanging (budget-cancelled) or worker-killed
+/// job degrades to `Err(JobFailure)` in its own slot; the rest of the
+/// batch completes untouched.
+pub fn run_batch(jobs: Vec<SimJob>) -> Vec<Result<SimStats, JobFailure>> {
+    let mut slots: Vec<Option<Result<SimStats, JobFailure>>> = jobs.iter().map(|_| None).collect();
+    let items = pool_items(jobs);
+    let cells: Vec<Vec<usize>> = items.iter().map(Item::cells).collect();
+    for (cells, outcome) in cells.into_iter().zip(execute(items, &Item::run, Permits::PerItem)) {
+        match outcome {
+            Ok(results) => {
+                for (i, result) in cells.into_iter().zip(results) {
+                    slots[i] = Some(result);
+                }
+            }
+            Err(failure) => {
+                for i in cells {
+                    slots[i] = Some(Err(failure.clone()));
+                }
+            }
+        }
+    }
+    let results: Vec<_> =
+        slots.into_iter().map(|slot| slot.expect("every job is a cell of one item")).collect();
+    count_cells(&results);
     results
 }
 
-/// Runs one simulation job on the worker pool under the default
-/// [`RetryPolicy`], blocking until a global worker permit frees up.
+/// Runs one simulation job on the worker pool, blocking until a global
+/// worker permit frees up.
 ///
 /// This is the serving layer's entry point: one interactive request
 /// maps to one job and shares the process-wide `max_workers()` budget
 /// with any concurrent batch work, so a burst of what-if queries can
 /// never oversubscribe the host. Failure containment and telemetry
-/// match [`run_batch_with`] exactly.
+/// match [`run_batch`] exactly, with the job counted as index 0.
 pub fn run_job(job: SimJob) -> Result<SimStats, JobFailure> {
-    run_job_with(job, RetryPolicy::default())
-}
-
-/// [`run_job`] with an explicit retry policy: failures classed
-/// transient ([`JobFailure::is_transient`]) re-run after
-/// `base_backoff × 2^(round−1)` sleep, each retry emitting a
-/// `JobRetried` pool event; a job still transiently failing after
-/// `max_attempts` surfaces as [`JobFailure::Retryable`]. Terminal
-/// failures emit `JobFailed` (plus `JobTimedOut` for watchdog
-/// cancellations) just like the batch path.
-pub fn run_job_with(job: SimJob, policy: RetryPolicy) -> Result<SimStats, JobFailure> {
-    let max_attempts = policy.max_attempts.max(1);
-    let mut outcome = run_job_attempt(job.clone());
-    for round in 1..max_attempts {
-        if !matches!(&outcome, Err(failure) if failure.is_transient()) {
-            break;
-        }
-        let backoff = policy.base_backoff * 2u32.pow(round - 1);
-        if !backoff.is_zero() {
-            thread::sleep(backoff);
-        }
-        {
-            let mut p = pool().lock().unwrap_or_else(|e| e.into_inner());
-            let retried = p.jobs_retried;
-            p.metrics.inc(retried, 1);
-            p.emit(Event::JobRetried { job: 0, attempt: round as u64 });
-        }
-        outcome = run_job_attempt(job.clone());
-    }
-    if matches!(&outcome, Err(failure) if failure.is_transient()) {
-        if let Err(JobFailure::Panicked { message }) = outcome {
-            outcome = Err(JobFailure::Retryable { message, attempts: max_attempts });
-        }
-    }
-    if let Err(failure) = &outcome {
-        let mut p = pool().lock().unwrap_or_else(|e| e.into_inner());
-        if let JobFailure::TimedOut { executed_insts, .. } = failure {
-            let timed_out = p.jobs_timed_out;
-            p.metrics.inc(timed_out, 1);
-            p.emit(Event::JobTimedOut { job: 0, executed_insts: *executed_insts });
-        }
-        let failed = p.jobs_failed;
-        p.metrics.inc(failed, 1);
-        p.emit(Event::JobFailed { job: 0, reason: failure.to_string() });
-    }
-    outcome
-}
-
-/// One permit-holding attempt with its latency recorded — the unit the
-/// [`run_job_with`] retry loop repeats. The permit is held only for the
-/// simulation itself, never across a backoff sleep.
-fn run_job_attempt(job: SimJob) -> Result<SimStats, JobFailure> {
-    let _permit = Permit::acquire();
-    let t0 = Instant::now();
-    let outcome = job.try_run();
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
-    let mut p = pool().lock().unwrap_or_else(|e| e.into_inner());
-    let (latency, ok) = (p.latency_ms, p.jobs_ok);
-    p.metrics.observe(latency, ms);
-    if outcome.is_ok() {
-        p.metrics.inc(ok, 1);
-    }
-    outcome
+    let result = {
+        let _permit = Permit::acquire();
+        job.run_alone()
+    };
+    count_cells(std::slice::from_ref(&result));
+    result
 }
 
 /// Parallel map over leaf work items with deterministic result order.
@@ -505,68 +524,6 @@ where
         .into_iter()
         .map(|slot| slot.and_then(|inner| inner))
         .collect()
-}
-
-/// [`try_map`] plus bounded retry: failures classed transient
-/// ([`JobFailure::is_transient`]) are re-submitted in rounds, with
-/// `policy.base_backoff × 2^(round−1)` sleep before round *k*. Jobs
-/// still transiently failing after `policy.max_attempts` total attempts
-/// surface as [`JobFailure::Retryable`]. Each retry emits a `JobRetried`
-/// pool event, so attempt counts are auditable after the fact.
-pub fn try_map_retry<T, R, F>(
-    items: Vec<T>,
-    f: F,
-    policy: RetryPolicy,
-) -> Vec<Result<R, JobFailure>>
-where
-    T: Send + Clone,
-    R: Send,
-    F: Fn(T) -> Result<R, JobFailure> + Sync,
-{
-    let max_attempts = policy.max_attempts.max(1);
-    // Retry rounds re-submit the original item, so retain copies only
-    // when the policy can actually use them.
-    let retained: Option<Vec<T>> = (max_attempts > 1).then(|| items.clone());
-    let mut results = try_map(items, &f);
-    for round in 1..max_attempts {
-        let pending: Vec<usize> = results
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| matches!(r, Err(failure) if failure.is_transient()))
-            .map(|(i, _)| i)
-            .collect();
-        if pending.is_empty() {
-            break;
-        }
-        let backoff = policy.base_backoff * 2u32.pow(round - 1);
-        if !backoff.is_zero() {
-            thread::sleep(backoff);
-        }
-        {
-            let mut p = pool().lock().unwrap_or_else(|e| e.into_inner());
-            let retried = p.jobs_retried;
-            for &i in &pending {
-                p.metrics.inc(retried, 1);
-                p.emit(Event::JobRetried { job: i as u64, attempt: round as u64 });
-            }
-        }
-        let originals = retained.as_ref().expect("retained items exist when retrying");
-        let retry_items: Vec<T> = pending.iter().map(|&i| originals[i].clone()).collect();
-        for (&i, r) in pending.iter().zip(try_map(retry_items, &f)) {
-            results[i] = r;
-        }
-    }
-    // Whatever is still transient has exhausted its attempts.
-    for r in &mut results {
-        let exhausted = matches!(r, Err(failure) if failure.is_transient());
-        if exhausted {
-            if let Err(JobFailure::Panicked { message }) = r {
-                let message = std::mem::take(message);
-                *r = Err(JobFailure::Retryable { message, attempts: max_attempts });
-            }
-        }
-    }
-    results
 }
 
 /// Runs independent coarse-grained tasks concurrently (at most
@@ -686,8 +643,10 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
-    use crate::config::GovernorSpec;
+    use crate::config::{EhsDesign, GovernorSpec, StepBudget};
 
     #[test]
     fn map_preserves_submission_order() {
@@ -751,72 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_failures_retry_then_succeed_deterministically() {
-        set_max_workers(2);
-        // Seeded flaky injector: job 3 fails its first two attempts with
-        // a transient panic, then succeeds; everything else is healthy.
-        let attempts: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
-        let policy = RetryPolicy { max_attempts: 3, base_backoff: Duration::ZERO };
-        let out = try_map_retry(
-            (0..6).collect::<Vec<u64>>(),
-            |i| {
-                let n = attempts[i as usize].fetch_add(1, Ordering::SeqCst);
-                if i == 3 && n < 2 {
-                    panic!("transient flake on job {i} attempt {n}");
-                }
-                Ok(i + 100)
-            },
-            policy,
-        );
-        assert_eq!(out, (0..6).map(|i| Ok(i + 100)).collect::<Vec<_>>());
-        assert_eq!(attempts[3].load(Ordering::SeqCst), 3, "job 3 must run exactly 3 times");
-        for (i, a) in attempts.iter().enumerate() {
-            if i != 3 {
-                assert_eq!(a.load(Ordering::SeqCst), 1, "healthy job {i} must not be retried");
-            }
-        }
-    }
-
-    #[test]
-    fn persistent_transient_failure_exhausts_to_retryable() {
-        set_max_workers(2);
-        let attempts = AtomicUsize::new(0);
-        let policy = RetryPolicy { max_attempts: 3, base_backoff: Duration::ZERO };
-        let out = try_map_retry(
-            vec![0u64],
-            |_| -> Result<u64, JobFailure> {
-                attempts.fetch_add(1, Ordering::SeqCst);
-                panic!("transient but never recovers");
-            },
-            policy,
-        );
-        assert_eq!(attempts.load(Ordering::SeqCst), 3, "must attempt exactly max_attempts times");
-        match &out[0] {
-            Err(JobFailure::Retryable { message, attempts }) => {
-                assert_eq!(*attempts, 3);
-                assert!(message.contains("never recovers"), "wrong payload: {message}");
-            }
-            other => panic!("expected Retryable, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn non_transient_failures_are_not_retried() {
-        set_max_workers(2);
-        let attempts = AtomicUsize::new(0);
-        let out = try_map_retry(
-            vec![0u64],
-            |_| -> Result<u64, JobFailure> {
-                attempts.fetch_add(1, Ordering::SeqCst);
-                panic!("hard failure, no marker");
-            },
-            RetryPolicy::default(),
-        );
-        assert_eq!(attempts.load(Ordering::SeqCst), 1, "permanent failures must not retry");
-        assert!(matches!(&out[0], Err(JobFailure::Panicked { .. })));
-    }
-
-    #[test]
     fn run_job_matches_direct_run_and_contains_budget_exhaustion() {
         set_max_workers(2);
         let cfg = SimConfig::table1().with_governor(GovernorSpec::Acc);
@@ -831,7 +724,7 @@ mod tests {
         // contained TimedOut, never a wedged or panicking worker.
         let starved =
             SimJob::new(App::Sha, 0.01, cfg).with_budget(crate::config::StepBudget::insts(10));
-        match run_job_with(starved, RetryPolicy::NONE) {
+        match run_job(starved) {
             Err(JobFailure::TimedOut { executed_insts, .. }) => {
                 assert!(executed_insts >= 10, "watchdog fired before its budget")
             }
@@ -862,7 +755,7 @@ mod tests {
             SimJob::new(App::Crc32, -1.0, cfg.clone()),
             SimJob::new(App::Crc32, 0.01, cfg),
         ];
-        let batch = run_batch_with(jobs, RetryPolicy::NONE);
+        let batch = run_batch(jobs);
         assert!(batch[0].is_ok(), "healthy job 0 must survive: {:?}", batch[0]);
         assert!(batch[2].is_ok(), "healthy job 2 must survive: {:?}", batch[2]);
         match &batch[1] {
@@ -891,6 +784,37 @@ mod tests {
         let msg = panic_message(&*payload);
         assert!(msg.contains("job 5"), "missing job index: {msg}");
         assert!(msg.contains("boom at 5"), "missing original payload: {msg}");
+    }
+
+    #[test]
+    fn ideal_jobs_pair_with_the_first_free_twin() {
+        let job = |app, gov| SimJob::new(app, 0.01, SimConfig::table1().with_governor(gov));
+        let kagura = GovernorSpec::AccKagura(Default::default());
+        let ideal_kagura = GovernorSpec::IdealAccKagura(Default::default());
+        let jobs = vec![
+            job(App::Sha, GovernorSpec::IdealAcc), // 0
+            job(App::Sha, kagura),                 // 1
+            job(App::Crc32, GovernorSpec::Acc),    // 2
+            job(App::Sha, GovernorSpec::Acc),      // 3
+            job(App::Sha, ideal_kagura),           // 4
+            job(App::Sha, GovernorSpec::IdealAcc), // 5: no twin left
+            job(App::Crc32, GovernorSpec::IdealAcc).with_budget(StepBudget::insts(9)), // 6
+            SimJob::new(
+                // 7: NvMR
+                App::Crc32,
+                0.01,
+                SimConfig::table1()
+                    .with_governor(GovernorSpec::IdealAcc)
+                    .with_design(EhsDesign::Nvmr),
+            ),
+            job(App::Crc32, GovernorSpec::IdealAcc), // 8
+        ];
+        let cells: Vec<Vec<usize>> = pool_items(jobs).iter().map(Item::cells).collect();
+        assert_eq!(
+            cells,
+            vec![vec![3, 0], vec![1, 4], vec![2, 8], vec![5], vec![6], vec![7]],
+            "twins pair first-come by submission order; a budget or design difference blocks it"
+        );
     }
 
     #[test]

@@ -120,6 +120,39 @@ fn fast_forward_matches_reference_for_voltage_triggered_kagura() {
 }
 
 #[test]
+fn oracle_recording_pass_is_the_plain_run() {
+    // The worker pool serves an ACC or ACC+Kagura cell from its ideal
+    // twin's recording pass, so that pass must be the twin's plain run
+    // bit for bit: the end-of-run flush and Kagura's reported state
+    // (`kagura_state`, `rm_bypassed_fills`) included. `record_oracle` is
+    // the helper both the pool and `Simulator::new` call.
+    let voltage =
+        KaguraConfig { trigger: TriggerKind::Voltage { fraction: 0.5 }, ..Default::default() };
+    let ideals = [
+        GovernorSpec::IdealAcc,
+        GovernorSpec::IdealAccKagura(Default::default()),
+        GovernorSpec::IdealAccKagura(voltage),
+    ];
+    for app in App::ALL {
+        let program = app.build(0.02);
+        for design in EhsDesign::ALL {
+            for ideal in ideals {
+                let cfg = SimConfig::table1().with_design(design).with_governor(ideal);
+                let trace = default_trace(&cfg);
+                let (recorded, _) = Simulator::record_oracle(&cfg, &program, &trace);
+                let twin = ideal.recording_twin().expect("an ideal spec has a twin");
+                let plain = Simulator::new(cfg.with_governor(twin), &program, &trace).run();
+                assert_eq!(
+                    recorded, plain,
+                    "recording pass diverged from the plain run: {app:?} design={design:?} \
+                     twin={twin:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn fast_forward_matches_reference_for_ideal_governors() {
     // Oracle record + replay phases both run with shortcuts on; the
     // recording phase keeps shadow tags and deep-hit credit live. The

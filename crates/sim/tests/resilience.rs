@@ -1,15 +1,24 @@
 //! Resilient-orchestration guarantees: the cooperative watchdog cancels
-//! runaway simulations deterministically, and a batch containing
-//! panicking and hanging jobs completes with those cells failed while
-//! every healthy cell matches the no-fault run exactly.
+//! runaway simulations deterministically, a batch containing panicking
+//! and hanging jobs completes with those cells failed while every
+//! healthy cell matches the no-fault run exactly, and an ideal job that
+//! shares its recording pass with a twin job gives both cells exactly
+//! their lone results.
 
+use std::collections::BTreeSet;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use ehs_sim::{
-    run_batch, run_batch_with, GovernorSpec, JobFailure, RetryPolicy, SimConfig, SimJob, StepBudget,
+    run_batch, run_job, EhsDesign, GovernorSpec, JobFailure, SimConfig, SimJob, SimStats,
+    StepBudget,
 };
 use ehs_telemetry::Event;
 use ehs_workloads::App;
+
+/// Serializes the tests that read the pool's process-global counters
+/// and event log, so each sees only its own batch's cells.
+static POOL: Mutex<()> = Mutex::new(());
 
 fn acc() -> SimConfig {
     SimConfig::table1().with_governor(GovernorSpec::Acc)
@@ -49,6 +58,7 @@ fn unbudgeted_runs_are_untouched() {
 /// ones a no-fault batch produces.
 #[test]
 fn mixed_fault_batch_preserves_healthy_cells_exactly() {
+    let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
     ehs_sim::parallel::set_max_workers(4);
     let healthy = |app| SimJob::new(app, 0.01, acc());
     let reference = run_batch(vec![healthy(App::Sha), healthy(App::Crc32)]);
@@ -61,7 +71,7 @@ fn mixed_fault_batch_preserves_healthy_cells_exactly() {
         // Injected runaway: a budget far below the program length.
         healthy(App::Patricia).with_budget(StepBudget::insts(2_000)),
     ];
-    let batch = run_batch_with(jobs, RetryPolicy::NONE);
+    let batch = run_batch(jobs);
 
     assert_eq!(batch[0], reference[0], "healthy cell 0 diverged from the no-fault run");
     assert_eq!(batch[2], reference[1], "healthy cell 2 diverged from the no-fault run");
@@ -108,4 +118,86 @@ fn mixed_fault_batch_preserves_healthy_cells_exactly() {
     assert!(m.counter_value(ok) >= 4, "healthy jobs must be counted");
     let hist = m.histogram("job_latency_ms", &[]);
     assert!(m.histogram_data(hist).count() >= 6, "every job must record a latency sample");
+}
+
+fn jobs_ok() -> u64 {
+    let mut m = ehs_sim::parallel::pool_metrics();
+    let ok = m.counter("jobs_ok");
+    m.counter_value(ok)
+}
+
+/// The pairing differential: in a batch where ideal jobs share their
+/// recording pass with twins, every cell equals `run_job` of the same
+/// job in full `SimStats` (or failure), at one worker and at two; the
+/// pool counts cells, not pool items; and failures carry their cell's
+/// submission index.
+#[test]
+fn twin_pairing_gives_every_cell_its_lone_result() {
+    let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
+    let job = |app, gov| SimJob::new(app, 0.02, SimConfig::table1().with_governor(gov));
+    let kagura = GovernorSpec::AccKagura(Default::default());
+    let ideal_kagura = GovernorSpec::IdealAccKagura(Default::default());
+    let starved = StepBudget::insts(3_000);
+    let jobs = vec![
+        // Twins in shuffled order: ideal first, twin first, interleaved.
+        job(App::Sha, ideal_kagura),
+        job(App::Crc32, GovernorSpec::Acc),
+        job(App::Sha, GovernorSpec::Acc),
+        job(App::Sha, kagura),
+        job(App::Crc32, GovernorSpec::IdealAcc),
+        job(App::Sha, GovernorSpec::IdealAcc),
+        // An ideal job without a twin.
+        job(App::Patricia, GovernorSpec::IdealAcc),
+        // Two ideal jobs and one twin.
+        job(App::G721d, GovernorSpec::IdealAcc),
+        job(App::G721d, GovernorSpec::Acc),
+        job(App::G721d, GovernorSpec::IdealAcc),
+        // Would-be twins that differ only in design or in budget.
+        job(App::Jpegd, GovernorSpec::IdealAcc).with_budget(StepBudget::insts(50_000_000)),
+        job(App::Jpegd, GovernorSpec::Acc),
+        SimJob::new(
+            App::Jpegd,
+            0.02,
+            SimConfig::table1().with_governor(ideal_kagura).with_design(EhsDesign::Nvmr),
+        ),
+        job(App::Jpegd, kagura),
+        // A twin whose instruction budget times out its recording pass.
+        job(App::Dijkstra, GovernorSpec::Acc).with_budget(starved),
+        job(App::Dijkstra, GovernorSpec::IdealAcc).with_budget(starved),
+    ];
+    let lone: Vec<Result<SimStats, JobFailure>> = jobs.iter().cloned().map(run_job).collect();
+    assert!(
+        matches!(lone[14], Err(JobFailure::TimedOut { executed_insts: 3_000, .. })),
+        "the starved twin must time out alone: {:?}",
+        lone[14]
+    );
+    let failed: BTreeSet<u64> =
+        lone.iter().enumerate().filter(|(_, r)| r.is_err()).map(|(i, _)| i as u64).collect();
+    let ok = (lone.len() - failed.len()) as u64;
+    let _ = ehs_sim::parallel::drain_pool_events();
+
+    for workers in [1, 2] {
+        ehs_sim::parallel::set_max_workers(workers);
+        let ok_before = jobs_ok();
+        let batch = run_batch(jobs.clone());
+        assert_eq!(batch.len(), jobs.len());
+        for (i, (cell, alone)) in batch.iter().zip(&lone).enumerate() {
+            assert_eq!(
+                cell,
+                alone,
+                "cell {i} ({:?} under {}) differs from its lone run at {workers} worker(s)",
+                jobs[i].app,
+                jobs[i].cfg.governor.label()
+            );
+        }
+        assert_eq!(jobs_ok() - ok_before, ok, "jobs_ok must count cells, not pool items");
+        let reported: BTreeSet<u64> = ehs_sim::parallel::drain_pool_events()
+            .iter()
+            .filter_map(|s| match s.event {
+                Event::JobFailed { job, .. } => Some(job),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(reported, failed, "JobFailed must carry each failed cell's original index");
+    }
 }

@@ -213,21 +213,14 @@ pub enum Event {
         /// Tolerance the residual was audited against (pJ).
         tolerance_pj: f64,
     },
-    /// A harness job failed terminally (after any retries). Emitted by
-    /// the parallel pool, not the simulator: `t_us` is host wall-clock
-    /// microseconds since process start and `cycle` is always 0.
+    /// A harness job failed. Emitted by the parallel pool, not the
+    /// simulator: `t_us` is host wall-clock microseconds since process
+    /// start and `cycle` is always 0.
     JobFailed {
         /// Submission index of the job within its batch.
         job: u64,
         /// Human-readable failure description (the `JobFailure` text).
         reason: String,
-    },
-    /// A harness job failed transiently and is being retried.
-    JobRetried {
-        /// Submission index of the job within its batch.
-        job: u64,
-        /// 1-based attempt number that just failed.
-        attempt: u64,
     },
     /// A harness job was cancelled by its cooperative watchdog budget.
     JobTimedOut {
@@ -273,7 +266,6 @@ impl Event {
             Event::FlightRecord(_) => "FlightRecord",
             Event::LedgerImbalance { .. } => "LedgerImbalance",
             Event::JobFailed { .. } => "JobFailed",
-            Event::JobRetried { .. } => "JobRetried",
             Event::JobTimedOut { .. } => "JobTimedOut",
             Event::RequestShed { .. } => "RequestShed",
             Event::ServerDrain { .. } => "ServerDrain",
@@ -340,9 +332,6 @@ impl Event {
             }
             // Handled by the borrow-matching prologue above (String field).
             Event::JobFailed { .. } => unreachable!("JobFailed returned early"),
-            Event::JobRetried { job, attempt } => {
-                vec![("job", job.into()), ("attempt", attempt.into())]
-            }
             Event::JobTimedOut { job, executed_insts } => {
                 vec![("job", job.into()), ("executed_insts", executed_insts.into())]
             }
@@ -432,7 +421,6 @@ impl Event {
                 tolerance_pj: f("tolerance_pj")?,
             },
             "JobFailed" => Event::JobFailed { job: u("job")?, reason: s("reason")?.to_string() },
-            "JobRetried" => Event::JobRetried { job: u("job")?, attempt: u("attempt")? },
             "JobTimedOut" => {
                 Event::JobTimedOut { job: u("job")?, executed_insts: u("executed_insts")? }
             }
@@ -599,7 +587,6 @@ mod tests {
             }),
             Event::LedgerImbalance { imbalance_pj: 1.75, tolerance_pj: 0.5 },
             Event::JobFailed { job: 3, reason: "simulation panicked: boom".to_string() },
-            Event::JobRetried { job: 3, attempt: 1 },
             Event::JobTimedOut { job: 4, executed_insts: 1_000_000 },
             Event::RequestShed { admitted: 9, retry_after_ms: 250 },
             Event::ServerDrain { in_flight: 2, cache_entries: 31 },

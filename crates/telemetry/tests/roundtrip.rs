@@ -40,7 +40,6 @@ fn known_sequence() -> Vec<Stamped> {
         Stamped { t_us: 12.5, cycle: 1, event: Event::PowerFailure { insts: 128, voltage: 1.999 } },
         // Harness-level job events (wall-clock stamps, cycle 0 by
         // convention — they do not belong to any simulated power cycle).
-        Stamped { t_us: 13.0, cycle: 1, event: Event::JobRetried { job: 7, attempt: 1 } },
         Stamped {
             t_us: 13.5,
             cycle: 1,
