@@ -9,8 +9,8 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
-echo "== cargo clippy (deny warnings) =="
-cargo clippy --workspace --offline -- -D warnings
+echo "== cargo clippy (deny warnings, tests and benches included) =="
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo test =="
 cargo test -q --workspace --offline

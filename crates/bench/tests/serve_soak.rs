@@ -14,7 +14,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 use serde_json::Value;
@@ -26,11 +26,36 @@ fn tmp(name: &str) -> PathBuf {
     dir
 }
 
+/// A running `simrun serve` child. Dropping it kills and reaps the
+/// process, so a failed assertion never leaves a server behind.
+struct Server(Child);
+
+impl Server {
+    /// Waits for the server to exit on its own.
+    fn wait(&mut self) -> ExitStatus {
+        self.0.wait().expect("wait for server")
+    }
+
+    /// SIGKILLs the server and reaps it.
+    fn kill(&mut self) {
+        self.0.kill().expect("SIGKILL");
+        self.wait();
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        // Both are no-ops on a server that was already reaped.
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// Spawns `simrun serve --tcp 127.0.0.1:0` and waits for the port file.
-fn spawn_server(dir: &Path, extra: &[&str]) -> (Child, String) {
+fn spawn_server(dir: &Path, extra: &[&str]) -> (Server, String) {
     let port_file = dir.join("port");
     let _ = std::fs::remove_file(&port_file);
-    let child = Command::new(env!("CARGO_BIN_EXE_simrun"))
+    let server = Command::new(env!("CARGO_BIN_EXE_simrun"))
         .arg("serve")
         .args(["--tcp", "127.0.0.1:0"])
         .args(["--port-file", port_file.to_str().unwrap()])
@@ -40,12 +65,13 @@ fn spawn_server(dir: &Path, extra: &[&str]) -> (Child, String) {
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
+        .map(Server)
         .expect("spawn simrun serve");
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
         if let Ok(addr) = std::fs::read_to_string(&port_file) {
             if !addr.trim().is_empty() {
-                return (child, addr.trim().to_string());
+                return (server, addr.trim().to_string());
             }
         }
         assert!(Instant::now() < deadline, "server never wrote its port file");
@@ -78,7 +104,7 @@ const QUERY: &str = r#"{"op":"query","id":"soak","app":"sha","scale":0.004,"gove
 #[test]
 fn soak_chaos_sigkill_restart_and_byte_identity() {
     let dir = tmp("chaos");
-    let (mut child, addr) = spawn_server(&dir, &["--workers", "2", "--queue-depth", "8"]);
+    let (mut server, addr) = spawn_server(&dir, &["--workers", "2", "--queue-depth", "8"]);
 
     // Concurrent clients: valid queries, malformed lines, and poison
     // queries under a tiny instruction budget, all at once.
@@ -127,12 +153,11 @@ fn soak_chaos_sigkill_restart_and_byte_identity() {
     // Capture the canonical response bytes, then SIGKILL the server.
     let before = request(&addr, QUERY);
     assert_eq!(parsed(&before).get("ok"), Some(&Value::Bool(true)));
-    child.kill().expect("SIGKILL");
-    child.wait().expect("reap");
+    server.kill();
 
     // A restarted server must warm from the persisted cache and serve
     // the same query byte-identically — as a cache hit, not a re-run.
-    let (mut child, addr) = spawn_server(&dir, &["--workers", "2"]);
+    let (mut server, addr) = spawn_server(&dir, &["--workers", "2"]);
     let after = request(&addr, QUERY);
     assert_eq!(before, after, "restart must preserve response bytes");
     let metrics = parsed(&request(&addr, r#"{"op":"metrics","id":"m"}"#));
@@ -149,7 +174,7 @@ fn soak_chaos_sigkill_restart_and_byte_identity() {
     // Graceful shutdown via the shutdown op: exit code 0.
     let bye = parsed(&request(&addr, r#"{"op":"shutdown","id":"bye"}"#));
     assert_eq!(bye.get("ok"), Some(&Value::Bool(true)));
-    let status = child.wait().expect("wait for drain");
+    let status = server.wait();
     assert_eq!(status.code(), Some(0), "drain must exit cleanly");
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -157,7 +182,7 @@ fn soak_chaos_sigkill_restart_and_byte_identity() {
 #[test]
 fn sigterm_drains_in_flight_work_and_exits_cleanly() {
     let dir = tmp("sigterm");
-    let (mut child, addr) = spawn_server(&dir, &["--workers", "1"]);
+    let (mut server, addr) = spawn_server(&dir, &["--workers", "1"]);
 
     // Start a query, then SIGTERM the server while it is in flight.
     let in_flight = {
@@ -166,7 +191,7 @@ fn sigterm_drains_in_flight_work_and_exits_cleanly() {
     };
     std::thread::sleep(Duration::from_millis(50));
     let term = Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
+        .args(["-TERM", &server.0.id().to_string()])
         .status()
         .expect("send SIGTERM");
     assert!(term.success());
@@ -175,13 +200,12 @@ fn sigterm_drains_in_flight_work_and_exits_cleanly() {
     let response = in_flight.join().expect("client thread");
     assert_eq!(parsed(&response).get("ok"), Some(&Value::Bool(true)), "{response}");
 
-    let status = child.wait().expect("wait for drain");
+    let status = server.wait();
     assert_eq!(status.code(), Some(0), "SIGTERM drain must exit cleanly");
 
     // The drained cache state must warm the next server generation.
-    let (mut child, addr) = spawn_server(&dir, &[]);
+    let (mut server, addr) = spawn_server(&dir, &[]);
     assert_eq!(request(&addr, QUERY), response, "post-drain restart must serve cached bytes");
-    child.kill().unwrap();
-    child.wait().unwrap();
+    server.kill();
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -54,12 +54,13 @@ proptest! {
             for keep in 0..enc.payload().len() {
                 let cut = truncate(&enc, keep);
                 let mut out = vec![0u8; block.len()];
-                match c.try_decompress_into(&cut, &mut out) {
-                    Ok(()) => prop_assert_eq!(
+                // An `Err` is a detected truncation — the contract this
+                // test pins.
+                if c.try_decompress_into(&cut, &mut out).is_ok() {
+                    prop_assert_eq!(
                         &out, &block,
                         "{} accepted a truncation that changed the data", alg
-                    ),
-                    Err(_) => {} // detected — the contract this test pins
+                    );
                 }
             }
         }
