@@ -137,7 +137,8 @@ impl SizeMemo {
         self.misses += 1;
         // Size-only query: `compressed_size_bits` is contractually equal
         // to `compress(data).encoded_bits()` but skips the bitstream
-        // assembly (the proptest below pins the two together).
+        // assembly (`size_queries_match_their_encoders` in ehs-compress's
+        // tests/roundtrip.rs pins the two together bit for bit).
         let bytes = compressor.compressed_size_bits(data).div_ceil(8);
         let segs = bytes.div_ceil(SEGMENT_BYTES).max(1);
         if self.map.len() >= Self::MAX_ENTRIES {

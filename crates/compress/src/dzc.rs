@@ -59,6 +59,14 @@ impl Compressor for Dzc {
         CompressedBlock::new(Algorithm::Dzc, data.len() as u32, payload, bits)
     }
 
+    /// Allocation-free size query: the ZIB vector plus 8 bits per
+    /// nonzero byte.
+    fn compressed_size_bits(&self, data: &[u8]) -> u32 {
+        validate_block(data);
+        let nonzero = data.iter().filter(|&&b| b != 0).count() as u32;
+        data.len() as u32 + 8 * nonzero
+    }
+
     fn try_decompress_into(
         &self,
         block: &CompressedBlock,
@@ -93,6 +101,7 @@ mod tests {
         let dzc = Dzc::new();
         let enc = dzc.compress(data);
         assert_eq!(dzc.decompress(&enc), data);
+        assert_eq!(dzc.compressed_size_bits(data), enc.encoded_bits(), "size query");
         enc
     }
 

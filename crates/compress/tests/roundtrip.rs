@@ -1,6 +1,7 @@
 //! Property-based round-trip tests: every compressor must be lossless on
-//! arbitrary word-aligned blocks, and encoded sizes must respect each
-//! algorithm's structural bounds.
+//! arbitrary word-aligned blocks, every size query must equal its
+//! encoder's bit count, and encoded sizes must respect each algorithm's
+//! structural bounds.
 
 use ehs_compress::{Algorithm, Compressor};
 use proptest::prelude::*;
@@ -53,6 +54,17 @@ proptest! {
             c.decompress_into(&enc, &mut out);
             prop_assert_eq!(&out, &block, "{} decompress_into diverges", alg);
             prop_assert_eq!(c.decompress(&enc), block.clone());
+        }
+    }
+
+    #[test]
+    fn size_queries_match_their_encoders(block in block_strategy()) {
+        // Every size path, the default one included, must report the
+        // exact bit count of what its encoder writes.
+        for alg in Algorithm::EXTENDED {
+            let c = alg.compressor();
+            let encoded = c.compress(&block).encoded_bits();
+            prop_assert_eq!(c.compressed_size_bits(&block), encoded, "{} size path", alg);
         }
     }
 
