@@ -8,44 +8,63 @@ use ehs_workloads::App;
 use kagura_core::{AdaptScheme, EstimatorKind, KaguraConfig, ThresholdAdapter, TriggerKind};
 use serde_json::{json, Value};
 
-use super::{cfg, run_grid};
+use super::{cfg, gain_pct, run_grid};
 use crate::{amean, print_table, ExpContext};
 
-/// Mean percentage gain of `variant` over `base` across `apps`, run as
-/// one batch on the worker pool.
-fn mean_gain(ctx: &ExpContext, apps: &[App], base: &SimConfig, variant: &SimConfig) -> f64 {
-    mean_gains(ctx, apps, base, &[("", variant.clone())])[0].1
+/// Mean percentage gains of each row's variants over that row's own
+/// baseline, its first config, across `apps`: `gains[r][v]` is row `r`'s
+/// variant `v`. All rows go to the pool as one `run_grid` batch, so no
+/// row waits for another, and a baseline that several rows share runs
+/// once per app (the pool runs one pass per distinct cell). Truncated
+/// runs drop out of the mean; if every app truncated the mean is NaN,
+/// which serializes as null in the JSON row.
+fn row_gains(ctx: &ExpContext, apps: &[App], rows: &[Vec<SimConfig>]) -> Vec<Vec<f64>> {
+    let grid = run_grid(ctx, apps, &rows.concat());
+    let mut base = 0;
+    rows.iter()
+        .map(|row| {
+            let gains = (base + 1..base + row.len())
+                .map(|col| {
+                    let gains: Vec<f64> =
+                        grid.iter().filter_map(|r| gain_pct(&r[base], &r[col])).collect();
+                    super::mean_defined(&gains)
+                })
+                .collect();
+            base += row.len();
+            gains
+        })
+        .collect()
 }
 
-/// Mean percentage gains of several variants against one shared baseline,
-/// with a single baseline run per app; the whole
-/// `apps × (base + variants)` grid goes to the pool as one batch.
+/// [`row_gains`] for one baseline: each labelled variant's mean gain.
 fn mean_gains(
     ctx: &ExpContext,
     apps: &[App],
     base: &SimConfig,
     variants: &[(&'static str, SimConfig)],
 ) -> Vec<(&'static str, f64)> {
-    let mut configs = vec![base.clone()];
-    configs.extend(variants.iter().map(|(_, v)| v.clone()));
-    let grid = run_grid(ctx, apps, &configs);
-    variants
-        .iter()
-        .enumerate()
-        .map(|(i, &(label, _))| {
-            // Truncated runs drop out of the mean; if every app truncated
-            // the mean is NaN, which serializes as null in the JSON row.
-            let gains: Vec<f64> = grid
-                .iter()
-                .filter_map(|row| row[i + 1].try_speedup_over(&row[0]).map(|s| (s - 1.0) * 100.0))
-                .collect();
-            (label, super::mean_defined(&gains))
-        })
-        .collect()
+    let row = std::iter::once(base).chain(variants.iter().map(|(_, v)| v)).cloned().collect();
+    let gains = row_gains(ctx, apps, &[row]).remove(0);
+    variants.iter().map(|&(label, _)| label).zip(gains).collect()
+}
+
+/// One row per sweep point: the point's config under each of `govs`,
+/// built by `shape`, with the first governor as the row's baseline.
+fn sweep_rows<T: Copy>(
+    points: &[T],
+    govs: &[GovernorSpec],
+    shape: impl Fn(T, GovernorSpec) -> SimConfig,
+) -> Vec<Vec<SimConfig>> {
+    points.iter().map(|&p| govs.iter().map(|&gov| shape(p, gov)).collect()).collect()
 }
 
 fn kagura_default() -> GovernorSpec {
     GovernorSpec::AccKagura(KaguraConfig::default())
+}
+
+/// A sweep row's governors for an ACC+Kagura-over-baseline figure.
+fn kagura_vs_base() -> [GovernorSpec; 2] {
+    [GovernorSpec::NoCompression, kagura_default()]
 }
 
 /// Fig 1: baseline speedup across cache sizes (no compression anywhere).
@@ -90,20 +109,19 @@ pub fn fig1(ctx: &ExpContext) -> Value {
 pub fn fig19(ctx: &ExpContext) -> Value {
     println!("Fig 19: trigger strategies on NVSRAMCache / NvMR / SweepCache");
     println!("  (speedups normalized to each design's own compressor-free baseline)");
-    let vol =
-        KaguraConfig { trigger: TriggerKind::Voltage { fraction: 0.2 }, ..Default::default() };
+    let vol = GovernorSpec::AccKagura(KaguraConfig {
+        trigger: TriggerKind::Voltage { fraction: 0.2 },
+        ..Default::default()
+    });
+    let govs = [GovernorSpec::NoCompression, GovernorSpec::Acc, kagura_default(), vol];
+    let configs = sweep_rows(&EhsDesign::ALL, &govs, |design, gov| cfg(gov).with_design(design));
+    let gains = row_gains(ctx, &ctx.sens_apps, &configs);
+    let labels = ["+ACC", "+ACC+Kagura (mem)", "+ACC+Kagura (vol)"];
     let mut rows = Vec::new();
     let mut out_rows = Vec::new();
-    for design in EhsDesign::ALL {
-        let base = cfg(GovernorSpec::NoCompression).with_design(design);
-        let variants = [
-            ("+ACC", cfg(GovernorSpec::Acc).with_design(design)),
-            ("+ACC+Kagura (mem)", cfg(kagura_default()).with_design(design)),
-            ("+ACC+Kagura (vol)", cfg(GovernorSpec::AccKagura(vol)).with_design(design)),
-        ];
-        let gains = mean_gains(ctx, &ctx.sens_apps, &base, &variants);
+    for (design, gains) in EhsDesign::ALL.into_iter().zip(&gains) {
         let mut row = vec![design.name().to_string()];
-        for (label, g) in &gains {
+        for (label, g) in labels.iter().zip(gains) {
             row.push(format!("{g:+.2}%"));
             out_rows.push(json!({ "design": design.name(), "config": label, "gain_pct": g }));
         }
@@ -213,22 +231,20 @@ pub fn fig22(ctx: &ExpContext) -> Value {
 /// Fig 23: compression algorithms.
 pub fn fig23(ctx: &ExpContext) -> Value {
     println!("Fig 23: ACC and ACC+Kagura across compression algorithms");
-    let base = cfg(GovernorSpec::NoCompression);
+    // The compressor-free baseline keeps Table I's algorithm, so every
+    // row shares one baseline column.
+    let govs = [GovernorSpec::NoCompression, GovernorSpec::Acc, kagura_default()];
+    let configs = sweep_rows(&Algorithm::ALL, &govs, |alg, gov| match gov {
+        GovernorSpec::NoCompression => cfg(gov),
+        _ => SimConfig { algorithm: alg, ..cfg(gov) },
+    });
+    let gains = row_gains(ctx, &ctx.sens_apps, &configs);
     let mut rows = Vec::new();
     let mut out_rows = Vec::new();
-    for alg in Algorithm::ALL {
-        let mut acc = cfg(GovernorSpec::Acc);
-        acc.algorithm = alg;
-        let mut kag = cfg(kagura_default());
-        kag.algorithm = alg;
-        let gains = mean_gains(ctx, &ctx.sens_apps, &base, &[("ACC", acc), ("Kagura", kag)]);
-        rows.push(vec![
-            alg.name().to_string(),
-            format!("{:+.2}%", gains[0].1),
-            format!("{:+.2}%", gains[1].1),
-        ]);
+    for (alg, g) in Algorithm::ALL.into_iter().zip(&gains) {
+        rows.push(vec![alg.name().to_string(), format!("{:+.2}%", g[0]), format!("{:+.2}%", g[1])]);
         out_rows.push(json!({
-            "algorithm": alg.name(), "acc_gain_pct": gains[0].1, "kagura_gain_pct": gains[1].1,
+            "algorithm": alg.name(), "acc_gain_pct": g[0], "kagura_gain_pct": g[1],
         }));
     }
     print_table(&["algorithm", "ACC", "ACC+Kagura"], &rows);
@@ -297,16 +313,16 @@ pub fn fig24(ctx: &ExpContext) -> Value {
 pub fn fig25(ctx: &ExpContext) -> Value {
     println!("Fig 25: associativity sweep (same capacity)");
     let ways = [1u32, 2, 4, 8];
+    let configs = sweep_rows(&ways, &kagura_vs_base(), |w, gov| {
+        let mut c = cfg(gov);
+        c.system.icache = c.system.icache.with_ways(w);
+        c.system.dcache = c.system.dcache.with_ways(w);
+        c
+    });
+    let gains = row_gains(ctx, &ctx.sens_apps, &configs);
     let mut rows = Vec::new();
     let mut out_rows = Vec::new();
-    for &w in &ways {
-        let mut base = cfg(GovernorSpec::NoCompression);
-        base.system.icache = base.system.icache.with_ways(w);
-        base.system.dcache = base.system.dcache.with_ways(w);
-        let mut kag = cfg(kagura_default());
-        kag.system.icache = kag.system.icache.with_ways(w);
-        kag.system.dcache = kag.system.dcache.with_ways(w);
-        let g = mean_gain(ctx, &ctx.sens_apps, &base, &kag);
+    for (&w, g) in ways.iter().zip(gains.iter().map(|g| g[0])) {
         rows.push(vec![format!("{w}-way"), format!("{g:+.2}%")]);
         out_rows.push(json!({ "ways": w, "kagura_gain_pct": g }));
     }
@@ -321,25 +337,20 @@ pub fn fig25(ctx: &ExpContext) -> Value {
 pub fn fig26(ctx: &ExpContext) -> Value {
     println!("Fig 26: cache block size sweep");
     let blocks = [16u32, 32, 64];
+    let configs = sweep_rows(&blocks, &kagura_vs_base(), |bs, gov| {
+        let mut c = cfg(gov);
+        c.system.icache = c.system.icache.with_block_size(bs);
+        c.system.dcache = c.system.dcache.with_block_size(bs);
+        // NVM transfer cost scales with the line size.
+        let scale = bs as f64 / 32.0;
+        c.system.nvm.read_energy = c.system.nvm.read_energy * scale;
+        c.system.nvm.write_energy = c.system.nvm.write_energy * scale;
+        c
+    });
+    let gains = row_gains(ctx, &ctx.sens_apps, &configs);
     let mut rows = Vec::new();
     let mut out_rows = Vec::new();
-    for &bs in &blocks {
-        let shape = |gov: GovernorSpec| {
-            let mut c = cfg(gov);
-            c.system.icache = c.system.icache.with_block_size(bs);
-            c.system.dcache = c.system.dcache.with_block_size(bs);
-            // NVM transfer cost scales with the line size.
-            let scale = bs as f64 / 32.0;
-            c.system.nvm.read_energy = c.system.nvm.read_energy * scale;
-            c.system.nvm.write_energy = c.system.nvm.write_energy * scale;
-            c
-        };
-        let g = mean_gain(
-            ctx,
-            &ctx.sens_apps,
-            &shape(GovernorSpec::NoCompression),
-            &shape(kagura_default()),
-        );
+    for (&bs, g) in blocks.iter().zip(gains.iter().map(|g| g[0])) {
         rows.push(vec![format!("{bs}B"), format!("{g:+.2}%")]);
         out_rows.push(json!({ "block_bytes": bs, "kagura_gain_pct": g }));
     }
@@ -354,20 +365,15 @@ pub fn fig26(ctx: &ExpContext) -> Value {
 pub fn fig27(ctx: &ExpContext) -> Value {
     println!("Fig 27: main memory size sweep");
     let sizes_mb = [2u64, 4, 8, 16, 32];
+    let configs = sweep_rows(&sizes_mb, &kagura_vs_base(), |mb, gov| {
+        let mut c = cfg(gov);
+        c.system.nvm = NvmParams::new(NvmKind::ReRam, mb << 20);
+        c
+    });
+    let gains = row_gains(ctx, &ctx.sens_apps, &configs);
     let mut rows = Vec::new();
     let mut out_rows = Vec::new();
-    for &mb in &sizes_mb {
-        let shape = |gov: GovernorSpec| {
-            let mut c = cfg(gov);
-            c.system.nvm = NvmParams::new(NvmKind::ReRam, mb << 20);
-            c
-        };
-        let g = mean_gain(
-            ctx,
-            &ctx.sens_apps,
-            &shape(GovernorSpec::NoCompression),
-            &shape(kagura_default()),
-        );
+    for (&mb, g) in sizes_mb.iter().zip(gains.iter().map(|g| g[0])) {
         rows.push(vec![format!("{mb}MB"), format!("{g:+.2}%")]);
         out_rows.push(json!({ "mem_mb": mb, "kagura_gain_pct": g }));
     }
@@ -381,20 +387,15 @@ pub fn fig27(ctx: &ExpContext) -> Value {
 /// Fig 28: main-memory technology sweep.
 pub fn fig28(ctx: &ExpContext) -> Value {
     println!("Fig 28: main memory technology sweep");
+    let configs = sweep_rows(&NvmKind::ALL, &kagura_vs_base(), |kind, gov| {
+        let mut c = cfg(gov);
+        c.system.nvm = NvmParams::new(kind, 16 << 20);
+        c
+    });
+    let gains = row_gains(ctx, &ctx.sens_apps, &configs);
     let mut rows = Vec::new();
     let mut out_rows = Vec::new();
-    for kind in NvmKind::ALL {
-        let shape = |gov: GovernorSpec| {
-            let mut c = cfg(gov);
-            c.system.nvm = NvmParams::new(kind, 16 << 20);
-            c
-        };
-        let g = mean_gain(
-            ctx,
-            &ctx.sens_apps,
-            &shape(GovernorSpec::NoCompression),
-            &shape(kagura_default()),
-        );
+    for (kind, g) in NvmKind::ALL.into_iter().zip(gains.iter().map(|g| g[0])) {
         rows.push(vec![kind.name().to_string(), format!("{g:+.2}%")]);
         out_rows.push(json!({ "nvm": kind.name(), "kagura_gain_pct": g }));
     }
@@ -470,27 +471,20 @@ pub fn fig29(ctx: &ExpContext) -> Value {
 /// Fig 30: ambient power-trace sweep.
 pub fn fig30(ctx: &ExpContext) -> Value {
     println!("Fig 30: power traces");
+    let govs = [GovernorSpec::NoCompression, GovernorSpec::Acc, kagura_default()];
+    let configs =
+        sweep_rows(&TraceKind::ALL, &govs, |kind, gov| SimConfig { trace_kind: kind, ..cfg(gov) });
+    let gains = row_gains(ctx, &ctx.sens_apps, &configs);
     let mut rows = Vec::new();
     let mut out_rows = Vec::new();
-    for kind in TraceKind::ALL {
-        let shape = |gov: GovernorSpec| {
-            let mut c = cfg(gov);
-            c.trace_kind = kind;
-            c
-        };
-        let gains = mean_gains(
-            ctx,
-            &ctx.sens_apps,
-            &shape(GovernorSpec::NoCompression),
-            &[("ACC", shape(GovernorSpec::Acc)), ("Kagura", shape(kagura_default()))],
-        );
+    for (kind, g) in TraceKind::ALL.into_iter().zip(&gains) {
         rows.push(vec![
             kind.name().to_string(),
-            format!("{:+.2}%", gains[0].1),
-            format!("{:+.2}%", gains[1].1),
+            format!("{:+.2}%", g[0]),
+            format!("{:+.2}%", g[1]),
         ]);
         out_rows.push(json!({
-            "trace": kind.name(), "acc_gain_pct": gains[0].1, "kagura_gain_pct": gains[1].1,
+            "trace": kind.name(), "acc_gain_pct": g[0], "kagura_gain_pct": g[1],
         }));
     }
     print_table(&["trace", "ACC", "ACC+Kagura"], &rows);
@@ -616,20 +610,15 @@ pub fn ablation_estimator(ctx: &ExpContext) -> Value {
 pub fn ablation_region_size(ctx: &ExpContext) -> Value {
     println!("Ablation: checkpoint region size (paper \u{a7}VII-C, on SweepCache)");
     let regions = [128u64, 256, 512, 1024, 2048];
+    let configs = sweep_rows(&regions, &kagura_vs_base(), |region, gov| {
+        let mut c = cfg(gov).with_design(EhsDesign::SweepCache);
+        c.costs.sweep_region = region;
+        c
+    });
+    let gains = row_gains(ctx, &ctx.sens_apps, &configs);
     let mut rows = Vec::new();
     let mut out_rows = Vec::new();
-    for &region in &regions {
-        let shape = |gov: GovernorSpec| {
-            let mut c = cfg(gov).with_design(EhsDesign::SweepCache);
-            c.costs.sweep_region = region;
-            c
-        };
-        let g = mean_gain(
-            ctx,
-            &ctx.sens_apps,
-            &shape(GovernorSpec::NoCompression),
-            &shape(kagura_default()),
-        );
+    for (&region, g) in regions.iter().zip(gains.iter().map(|g| g[0])) {
         rows.push(vec![format!("{region} insts"), format!("{g:+.2}%")]);
         out_rows.push(json!({ "region_insts": region, "kagura_gain_pct": g }));
     }

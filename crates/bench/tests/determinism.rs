@@ -4,11 +4,12 @@
 //! Simulations are pure functions of their inputs and the worker pool
 //! collects results in submission order, so the JSON an experiment saves
 //! must not depend on how many workers raced to produce it. This runs
-//! three representative experiments — `summary` (a plain app × governor
-//! grid), `fig23` (nested `mean_gains` batches per algorithm) and `fig13`
-//! (ideal cells that share their recording pass with their ACC and
-//! ACC+Kagura twins) — at one and at four workers and compares the saved
-//! files byte for byte.
+//! four representative experiments — `summary` (a plain app × governor
+//! grid), `fig23` (one batch whose rows share a repeated baseline
+//! column, which the pool runs once per app), `fig30` (one batch whose
+//! rows each have their own baseline) and `fig13` (ideal cells that share
+//! their recording pass with their ACC and ACC+Kagura twins) — at one and
+//! at four workers and compares the saved files byte for byte.
 
 use std::fs;
 use std::path::PathBuf;
@@ -36,7 +37,7 @@ fn run_at(jobs: usize, id: &str) -> Vec<u8> {
 
 #[test]
 fn experiment_json_is_byte_identical_across_job_counts() {
-    for id in ["summary", "fig23", "fig13"] {
+    for id in ["summary", "fig23", "fig30", "fig13"] {
         let serial = run_at(1, id);
         let parallel = run_at(4, id);
         assert!(

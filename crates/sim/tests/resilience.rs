@@ -1,14 +1,15 @@
 //! Resilient-orchestration guarantees: the cooperative watchdog cancels
 //! runaway simulations deterministically, a batch containing panicking
 //! and hanging jobs completes with those cells failed while every
-//! healthy cell matches the no-fault run exactly, and an ideal job that
-//! shares its recording pass with a twin job gives both cells exactly
-//! their lone results.
+//! healthy cell matches the no-fault run exactly, and repeated jobs that
+//! share one pass, or an ideal job that shares its recording pass with a
+//! twin job, give every cell exactly its lone result.
 
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 use std::time::Duration;
 
+use ehs_compress::Algorithm;
 use ehs_sim::{
     run_batch, run_job, EhsDesign, GovernorSpec, JobFailure, SimConfig, SimJob, SimStats,
     StepBudget,
@@ -126,11 +127,11 @@ fn jobs_ok() -> u64 {
     m.counter_value(ok)
 }
 
-/// The pairing differential: in a batch where ideal jobs share their
-/// recording pass with twins, every cell equals `run_job` of the same
-/// job in full `SimStats` (or failure), at one worker and at two; the
-/// pool counts cells, not pool items; and failures carry their cell's
-/// submission index.
+/// The pairing differential: in a batch where repeated jobs share one
+/// pass and ideal jobs share their recording pass with twins, every cell
+/// equals `run_job` of the same job in full `SimStats` (or failure), at
+/// one worker and at two; the pool counts cells, not passes; and
+/// failures carry their cell's submission index.
 #[test]
 fn twin_pairing_gives_every_cell_its_lone_result() {
     let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
@@ -164,13 +165,28 @@ fn twin_pairing_gives_every_cell_its_lone_result() {
         // A twin whose instruction budget times out its recording pass.
         job(App::Dijkstra, GovernorSpec::Acc).with_budget(starved),
         job(App::Dijkstra, GovernorSpec::IdealAcc).with_budget(starved),
+        // Repeats: a plain job twice, an ideal job and its twin again, and
+        // the starved twin again, which must time out in both cells.
+        job(App::Strings, GovernorSpec::NoCompression),
+        job(App::Strings, GovernorSpec::NoCompression),
+        job(App::Crc32, GovernorSpec::IdealAcc),
+        job(App::Crc32, GovernorSpec::Acc),
+        job(App::Dijkstra, GovernorSpec::Acc).with_budget(starved),
+        // Would-be repeats of cells 2 and 8 that differ only in algorithm
+        // or only in scale.
+        SimJob::new(App::Sha, 0.02, SimConfig { algorithm: Algorithm::Fpc, ..acc() }),
+        SimJob::new(App::G721d, 0.15, acc()),
     ];
     let lone: Vec<Result<SimStats, JobFailure>> = jobs.iter().cloned().map(run_job).collect();
-    assert!(
-        matches!(lone[14], Err(JobFailure::TimedOut { executed_insts: 3_000, .. })),
-        "the starved twin must time out alone: {:?}",
-        lone[14]
-    );
+    for starved_cell in [14, 20] {
+        assert!(
+            matches!(lone[starved_cell], Err(JobFailure::TimedOut { executed_insts: 3_000, .. })),
+            "the starved twin must time out alone: {:?}",
+            lone[starved_cell]
+        );
+    }
+    assert_ne!(lone[2], lone[21], "an algorithm change must change the run");
+    assert_ne!(lone[8], lone[22], "a scale change must change the run");
     let failed: BTreeSet<u64> =
         lone.iter().enumerate().filter(|(_, r)| r.is_err()).map(|(i, _)| i as u64).collect();
     let ok = (lone.len() - failed.len()) as u64;
