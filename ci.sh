@@ -15,6 +15,14 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test =="
 cargo test -q --workspace --offline
 
+echo "== perfbench: fmt, clippy and tests (its own workspace) =="
+# perfbench is its own workspace, so the commands above do not reach it:
+# lint it, and run its unit tests (results-row checker, statistics,
+# what-if plans) and CLI tests (a perturbed results row must fail a run).
+cargo fmt --manifest-path perfbench/Cargo.toml --check
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== perfbench smoke (results-checked benchmark) =="
 # One second of the compute-bound fig13 grid through the benchmark in
 # perfbench/ (its own workspace, built from this tree). Every row is
