@@ -55,13 +55,14 @@ echo "== faultgrid smoke (crash-consistency gate) =="
 FAULTGRID_OUT="$(mktemp -d)"
 LEDGER_OUT="$(mktemp -d)"
 CACHESCOPE_OUT="$(mktemp -d)"
+CACHESCOPE_BROKEN="$(mktemp -d)"
 LEAKSCOPE_OUT="$(mktemp -d)"
 RESUME_BASE="$(mktemp -d)"
 RESUME_CUT="$(mktemp -d)"
 FLEET_A="$(mktemp -d)"
 FLEET_B="$(mktemp -d)"
 SERVE_DIR="$(mktemp -d)"
-trap 'rm -rf "$FAULTGRID_OUT" "$LEDGER_OUT" "$CACHESCOPE_OUT" "$LEAKSCOPE_OUT" "$RESUME_BASE" "$RESUME_CUT" "$FLEET_A" "$FLEET_B" "$SERVE_DIR"' EXIT
+trap 'rm -rf "$FAULTGRID_OUT" "$LEDGER_OUT" "$CACHESCOPE_OUT" "$CACHESCOPE_BROKEN" "$LEAKSCOPE_OUT" "$RESUME_BASE" "$RESUME_CUT" "$FLEET_A" "$FLEET_B" "$SERVE_DIR"' EXIT
 cargo run --release --offline -q -p kagura-bench --bin repro -- \
     faultgrid --scale 0.005 --apps sha,crc32 --out "$FAULTGRID_OUT" --quiet
 
@@ -92,7 +93,19 @@ cargo run --release --offline -q -p kagura-bench --bin simrun -- \
 EXPLAINED="$(cargo run --release --offline -q -p kagura-bench --bin repro -- \
     explain "$CACHESCOPE_OUT" 2>&1 > /dev/null)"
 grep -q "rendered 2 report(s)" <<< "$EXPLAINED"
-echo "cachescope and flight-record streams parse back strictly"
+# The negative half of the gate: the same stream with one field renamed
+# on line 2 (the first `cycle` row) must fail `repro explain`, and the
+# diagnostic must name the file, the line and the field.
+sed '2s/"cycle":/"cycme":/' "$CACHESCOPE_OUT/cachescope_sha.jsonl" \
+    > "$CACHESCOPE_BROKEN/cachescope_sha.jsonl"
+if BROKEN_ERR="$(cargo run --release --offline -q -p kagura-bench --bin repro -- \
+    explain "$CACHESCOPE_BROKEN" 2>&1 > /dev/null)"; then
+    echo "repro explain accepted a cachescope stream with a renamed field" >&2
+    exit 1
+fi
+grep -q "cachescope_sha.jsonl:2:" <<< "$BROKEN_ERR"
+grep -q '`cycle`' <<< "$BROKEN_ERR"
+echo "cachescope and flight-record streams parse back strictly; a renamed field is rejected"
 
 echo "== leakscope smoke (timing side-channel gate) =="
 # The attack must recover the planted secret through C-PACK probe

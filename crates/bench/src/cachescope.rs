@@ -5,9 +5,11 @@
 //! serialization to a single JSON document (experiment cells) or a JSONL
 //! stream (one header line, one `cycle` line per power-cycle boundary,
 //! one `snapshot` line per sampled occupancy map, one trailing
-//! `summary`), a *strict* parser that names the offending line and field
-//! on malformed input — CI's parse-back gate for the cachescope schema —
-//! and the per-app text report `repro explain` prints.
+//! `summary`), its per-kind field mapping for the shared strict reader
+//! ([`ehs_telemetry::jsonl::read_framed`], which names the offending
+//! line and field on malformed input — CI's parse-back gate for the
+//! cachescope schema), and the per-app text report `repro explain`
+//! prints.
 
 use std::path::Path;
 
@@ -16,12 +18,13 @@ use ehs_sim::{
     CachescopeAggregator, CachescopeReport, CycleScope, LatencyAttribution, OccupancySnapshot,
     ScopeCounters,
 };
+use ehs_telemetry::jsonl::{self, Framed};
 use ehs_telemetry::Histogram;
 use serde_json::{json, Value};
 
 /// Run identity carried in the stream header (the algorithm label rides
 /// in the report itself).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScopeLabels {
     /// Application name.
     pub app: String,
@@ -147,7 +150,7 @@ pub fn report_to_jsonl(labels: &ScopeLabels, report: &CachescopeReport) -> Strin
         "dcache": aggregator_json(&report.dcache),
         "latency": latency_json(&report.latency),
     }));
-    lines.iter().map(|v| serde_json::to_string(v).expect("serializable") + "\n").collect()
+    jsonl::to_string(&lines)
 }
 
 /// Atomically writes the JSONL stream for one run.
@@ -174,184 +177,127 @@ pub struct ParsedScope {
     pub summary: Value,
 }
 
-/// Walks a dotted path (`"dcache.hits"`), so errors name the exact
-/// nested field.
-pub(crate) fn field<'a>(v: &'a Value, path: &str) -> Result<&'a Value, String> {
-    let mut cur = v;
-    for k in path.split('.') {
-        cur = cur.get(k).ok_or_else(|| format!("missing field `{path}`"))?;
+impl ScopeLabels {
+    /// The run identity from a stream header line.
+    pub(crate) fn from_header(v: &Value) -> Result<Self, String> {
+        Ok(ScopeLabels::new(
+            jsonl::str(v, "app")?,
+            jsonl::str(v, "design")?,
+            jsonl::str(v, "governor")?,
+        ))
     }
-    Ok(cur)
 }
 
-pub(crate) fn u(v: &Value, path: &str) -> Result<u64, String> {
-    field(v, path)?.as_u64().ok_or_else(|| format!("field `{path}` is not an unsigned integer"))
-}
-
-pub(crate) fn f(v: &Value, path: &str) -> Result<f64, String> {
-    field(v, path)?.as_f64().ok_or_else(|| format!("field `{path}` is not a number"))
-}
-
-pub(crate) fn s(v: &Value, path: &str) -> Result<String, String> {
-    Ok(field(v, path)?
-        .as_str()
-        .ok_or_else(|| format!("field `{path}` is not a string"))?
-        .to_string())
-}
-
-pub(crate) fn arr<'a>(v: &'a Value, path: &str) -> Result<&'a [Value], String> {
-    field(v, path)?.as_array().ok_or_else(|| format!("field `{path}` is not an array"))
-}
-
-fn counters_from(v: &Value, prefix: &str) -> Result<ScopeCounters, String> {
-    let key = |k: &str| format!("{prefix}.{k}");
+fn counters_from(c: &Value) -> Result<ScopeCounters, String> {
+    let u = |k: &str| jsonl::u64(c, k);
     Ok(ScopeCounters {
-        hits: u(v, &key("hits"))?,
-        compressed_hits: u(v, &key("compressed_hits"))?,
-        fills: u(v, &key("fills"))?,
-        compressed_fills: u(v, &key("compressed_fills"))?,
-        capacity_evictions: u(v, &key("capacity_evictions"))?,
-        forced_evictions: u(v, &key("forced_evictions"))?,
-        power_loss_evictions: u(v, &key("power_loss_evictions"))?,
+        hits: u("hits")?,
+        compressed_hits: u("compressed_hits")?,
+        fills: u("fills")?,
+        compressed_fills: u("compressed_fills")?,
+        capacity_evictions: u("capacity_evictions")?,
+        forced_evictions: u("forced_evictions")?,
+        power_loss_evictions: u("power_loss_evictions")?,
     })
 }
 
-fn latency_from(v: &Value, prefix: &str) -> Result<LatencyAttribution, String> {
-    let key = |k: &str| format!("{prefix}.{k}");
+fn latency_from(l: &Value) -> Result<LatencyAttribution, String> {
+    let u = |k: &str| jsonl::u64(l, k);
     Ok(LatencyAttribution {
-        tag_cycles: u(v, &key("tag"))?,
-        decompress_cycles: u(v, &key("decompress"))?,
-        nvm_cycles: u(v, &key("nvm"))?,
-        writeback_cycles: u(v, &key("writeback"))?,
+        tag_cycles: u("tag")?,
+        decompress_cycles: u("decompress")?,
+        nvm_cycles: u("nvm")?,
+        writeback_cycles: u("writeback")?,
     })
 }
 
-fn occupancy_from(v: &Value, prefix: &str) -> Result<Vec<SetOccupancy>, String> {
-    let mut out = Vec::new();
-    for (i, set) in arr(v, prefix)?.iter().enumerate() {
-        let at = |k: &str| format!("{prefix}[{i}].{k}");
-        let mut blocks = Vec::new();
-        for (j, b) in arr(set, "blocks")
-            .map_err(|_| format!("field `{}` is not an array", at("blocks")))?
-            .iter()
-            .enumerate()
-        {
-            let pair = b.as_array().filter(|p| p.len() == 2).ok_or_else(|| {
-                format!("field `{}[{j}]` is not a [segments, compressed] pair", at("blocks"))
-            })?;
-            let segments = pair[0].as_u64().ok_or_else(|| {
-                format!("field `{}[{j}][0]` is not an unsigned integer", at("blocks"))
-            })?;
-            let compressed = pair[1]
-                .as_bool()
-                .ok_or_else(|| format!("field `{}[{j}][1]` is not a boolean", at("blocks")))?;
-            blocks.push((segments as u32, compressed));
-        }
-        out.push(SetOccupancy {
-            set: u(set, "set")
-                .map_err(|_| format!("field `{}` is missing or mistyped", at("set")))?
-                as u32,
-            used_segments: u(set, "used")
-                .map_err(|_| format!("field `{}` is missing or mistyped", at("used")))?
-                as u32,
-            blocks,
-        });
-    }
-    Ok(out)
+fn set_from(set: &Value) -> Result<SetOccupancy, String> {
+    Ok(SetOccupancy {
+        set: jsonl::u64(set, "set")? as u32,
+        used_segments: jsonl::u64(set, "used")? as u32,
+        blocks: jsonl::items(set, "blocks", |pair| match jsonl::array(pair, "")?.len() {
+            2 => Ok((jsonl::u64(pair, "[0]")? as u32, jsonl::bool(pair, "[1]")?)),
+            _ => Err("not a [segments, compressed] pair".into()),
+        })?,
+    })
 }
 
 /// Validates one aggregator object of a `summary` line (histogram shape
 /// included), naming the offending field.
-fn check_aggregator(v: &Value, prefix: &str) -> Result<(), String> {
-    counters_from(v, &format!("{prefix}.counters"))?;
+fn check_aggregator(a: &Value) -> Result<(), String> {
+    jsonl::nested(a, "counters", counters_from)?;
     for hist in ["occupancy", "ratio", "lifetime", "dead_time", "reuse"] {
-        let key = |k: &str| format!("{prefix}.{hist}.{k}");
-        u(v, &key("count"))?;
-        f(v, &key("mean"))?;
-        f(v, &key("p50"))?;
-        f(v, &key("p90"))?;
-        let bounds = arr(v, &key("bounds"))?;
-        let counts = arr(v, &key("counts"))?;
-        if counts.len() != bounds.len() + 1 {
-            return Err(format!(
-                "field `{}` must be one longer than `{}` ({} vs {})",
-                key("counts"),
-                key("bounds"),
-                counts.len(),
-                bounds.len()
-            ));
-        }
+        jsonl::nested(a, hist, |h| {
+            jsonl::u64(h, "count")?;
+            for stat in ["mean", "p50", "p90"] {
+                jsonl::f64(h, stat)?;
+            }
+            let bounds = jsonl::array(h, "bounds")?.len();
+            let counts = jsonl::array(h, "counts")?.len();
+            if counts != bounds + 1 {
+                return Err(format!(
+                    "field `counts` must be one longer than `bounds` ({counts} vs {bounds})"
+                ));
+            }
+            Ok(())
+        })?;
     }
     Ok(())
 }
 
-/// Strictly parses one cachescope JSONL stream; the error names the
-/// 1-based line and the offending field.
-pub fn parse_cachescope_str(text: &str) -> Result<ParsedScope, (usize, String)> {
-    let mut header: Option<(ScopeLabels, String)> = None;
-    let mut cycles = Vec::new();
-    let mut snapshots = Vec::new();
-    let mut summary: Option<Value> = None;
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let at = |e: String| (lineno, e);
-        let v: Value = serde_json::from_str(line).map_err(|e| at(format!("invalid JSON: {e}")))?;
-        if summary.is_some() {
-            return Err(at("unexpected line after the `summary` line".into()));
-        }
-        let kind = s(&v, "kind").map_err(at)?;
-        if header.is_none() && kind != "cachescope" {
-            return Err(at(format!("first line must have kind `cachescope`, got `{kind}`")));
-        }
-        match kind.as_str() {
-            "cachescope" => {
-                if header.is_some() {
-                    return Err(at("duplicate `cachescope` header line".into()));
-                }
-                let labels = ScopeLabels {
-                    app: s(&v, "app").map_err(at)?,
-                    design: s(&v, "design").map_err(at)?,
-                    governor: s(&v, "governor").map_err(at)?,
-                };
-                header = Some((labels, s(&v, "algorithm").map_err(at)?));
-            }
-            "cycle" => cycles.push(CycleScope {
-                cycle: u(&v, "cycle").map_err(at)?,
-                icache: counters_from(&v, "icache").map_err(at)?,
-                dcache: counters_from(&v, "dcache").map_err(at)?,
-                latency: latency_from(&v, "latency").map_err(at)?,
-            }),
-            "snapshot" => snapshots.push(OccupancySnapshot {
-                inst_index: u(&v, "inst_index").map_err(at)?,
-                cycle: u(&v, "cycle").map_err(at)?,
-                icache: occupancy_from(&v, "icache").map_err(at)?,
-                dcache: occupancy_from(&v, "dcache").map_err(at)?,
-            }),
-            "summary" => {
-                check_aggregator(&v, "icache").map_err(at)?;
-                check_aggregator(&v, "dcache").map_err(at)?;
-                latency_from(&v, "latency").map_err(at)?;
-                summary = Some(v);
-            }
-            other => return Err(at(format!("unknown line kind `{other}`"))),
-        }
+impl Framed for ParsedScope {
+    const HEADER: &'static str = "cachescope";
+    const RECORDS: &'static [&'static str] = &["cycle", "snapshot"];
+
+    fn header(v: &Value) -> Result<Self, String> {
+        Ok(ParsedScope {
+            labels: ScopeLabels::from_header(v)?,
+            algorithm: jsonl::str(v, "algorithm")?.to_string(),
+            cycles: Vec::new(),
+            snapshots: Vec::new(),
+            summary: Value::Null,
+        })
     }
-    let last = text.lines().count().max(1);
-    let (labels, algorithm) =
-        header.ok_or((last, "empty stream: missing `cachescope` header line".to_string()))?;
-    let summary = summary.ok_or((last, "stream ended without a `summary` line".to_string()))?;
-    if cycles.is_empty() {
-        return Err((last, "stream has no `cycle` rows (the end-of-run row is mandatory)".into()));
+
+    fn record(&mut self, kind: &str, v: &Value) -> Result<(), String> {
+        match kind {
+            "cycle" => self.cycles.push(CycleScope {
+                cycle: jsonl::u64(v, "cycle")?,
+                icache: jsonl::nested(v, "icache", counters_from)?,
+                dcache: jsonl::nested(v, "dcache", counters_from)?,
+                latency: jsonl::nested(v, "latency", latency_from)?,
+            }),
+            "snapshot" => self.snapshots.push(OccupancySnapshot {
+                inst_index: jsonl::u64(v, "inst_index")?,
+                cycle: jsonl::u64(v, "cycle")?,
+                icache: jsonl::items(v, "icache", set_from)?,
+                dcache: jsonl::items(v, "dcache", set_from)?,
+            }),
+            _ => unreachable!("the reader passes only RECORDS kinds"),
+        }
+        Ok(())
     }
-    Ok(ParsedScope { labels, algorithm, cycles, snapshots, summary })
+
+    fn summary(&mut self, v: &Value) -> Result<(), String> {
+        jsonl::nested(v, "icache", check_aggregator)?;
+        jsonl::nested(v, "dcache", check_aggregator)?;
+        jsonl::nested(v, "latency", latency_from)?;
+        self.summary = v.clone();
+        Ok(())
+    }
+
+    fn check(&self) -> Result<(), String> {
+        if self.cycles.is_empty() {
+            return Err("stream has no `cycle` rows (the end-of-run row is mandatory)".into());
+        }
+        Ok(())
+    }
 }
 
-/// [`parse_cachescope_str`] over a file, prefixing `file:line:`.
+/// Strictly parses one cachescope JSONL file; the error names the file,
+/// the 1-based line and the offending field.
 pub fn parse_cachescope_file(path: &Path) -> Result<ParsedScope, String> {
-    crate::fsutil::parse_stream_file(path, parse_cachescope_str)
+    crate::fsutil::parse_stream_file(path, jsonl::read_framed)
 }
 
 /// Fraction → one timeline glyph, coarse utilization ramp.
@@ -412,8 +358,9 @@ pub fn render_report(parsed: &ParsedScope) -> String {
 
     // Distribution lines straight off the validated summary.
     let hist = |prefix: &str| -> (u64, f64, f64, f64) {
-        let g = |k: &str| f(&parsed.summary, &format!("{prefix}.{k}")).unwrap_or(f64::NAN);
-        (u(&parsed.summary, &format!("{prefix}.count")).unwrap_or(0), g("mean"), g("p50"), g("p90"))
+        let g = |k: &str| jsonl::f64(&parsed.summary, &format!("{prefix}.{k}")).unwrap_or(f64::NAN);
+        let n = jsonl::u64(&parsed.summary, &format!("{prefix}.count")).unwrap_or(0);
+        (n, g("mean"), g("p50"), g("p90"))
     };
     let (n, mean, p50, p90) = hist("dcache.ratio");
     if n > 0 {
@@ -437,7 +384,7 @@ pub fn render_report(parsed: &ParsedScope) -> String {
     // Occupancy timeline: one glyph per (strided) snapshot, dcache
     // utilization summed over sets against the summary's segment bound.
     if !parsed.snapshots.is_empty() {
-        let cap_per_set = arr(&parsed.summary, "dcache.occupancy.bounds")
+        let cap_per_set = jsonl::array(&parsed.summary, "dcache.occupancy.bounds")
             .ok()
             .and_then(|b| b.last())
             .and_then(Value::as_f64)
@@ -484,6 +431,7 @@ mod tests {
     use ehs_cache::{CacheConfig, CacheProbe, EvictionReason, ProbeEviction, ProbeFill, ProbeHit};
     use ehs_compress::Algorithm;
     use ehs_model::CacheParams;
+    use ehs_telemetry::jsonl::read_framed;
 
     fn sample_report() -> CachescopeReport {
         let cfg = CacheConfig::new(CacheParams::table1(), Algorithm::Bdi);
@@ -550,13 +498,13 @@ mod tests {
     fn jsonl_round_trips_through_the_strict_parser() {
         let report = sample_report();
         let text = report_to_jsonl(&labels(), &report);
-        let parsed = parse_cachescope_str(&text).expect("generated stream parses");
+        let parsed = read_framed::<ParsedScope>(&text).expect("generated stream parses");
         assert_eq!(parsed.labels, labels());
         assert_eq!(parsed.algorithm, "BDI");
         assert_eq!(parsed.cycles, report.cycles);
         assert_eq!(parsed.snapshots, report.snapshots);
         assert_eq!(
-            u(&parsed.summary, "dcache.counters.hits").unwrap(),
+            jsonl::u64(&parsed.summary, "dcache.counters.hits").unwrap(),
             report.dcache.counters.hits
         );
     }
@@ -569,50 +517,23 @@ mod tests {
         // is valid JSON but the field is gone.
         let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
         lines[1] = lines[1].replacen("\"cycle\":", "\"cycme\":", 1);
-        let (line, err) = parse_cachescope_str(&lines.join("\n")).unwrap_err();
+        let (line, err) = read_framed::<ParsedScope>(&lines.join("\n")).unwrap_err();
         assert_eq!(line, 2);
         assert!(err.contains("`cycle`"), "error must name the field: {err}");
-
-        // Truncating a line mid-token is an invalid-JSON error on that line.
-        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        let cut = lines[2].len() / 2;
-        lines[2].truncate(cut);
-        let (line, err) = parse_cachescope_str(&lines.join("\n")).unwrap_err();
-        assert_eq!(line, 3);
-        assert!(err.contains("invalid JSON"), "{err}");
 
         // A nested counter field mistyped inside the summary line.
         let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
         let n = lines.len();
         lines[n - 1] = lines[n - 1].replacen("\"fills\":1", "\"fills\":\"one\"", 1);
-        let (line, err) = parse_cachescope_str(&lines.join("\n")).unwrap_err();
+        let (line, err) = read_framed::<ParsedScope>(&lines.join("\n")).unwrap_err();
         assert_eq!(line, n);
         assert!(err.contains("`dcache.counters.fills`"), "{err}");
     }
 
     #[test]
-    fn structural_defects_are_rejected() {
-        let text = report_to_jsonl(&labels(), &sample_report());
-        // Dropping the header: first line must be the header.
-        let body: Vec<&str> = text.lines().skip(1).collect();
-        let (_, err) = parse_cachescope_str(&body.join("\n")).unwrap_err();
-        assert!(err.contains("first line"), "{err}");
-        // Dropping the summary: incomplete stream.
-        let n = text.lines().count();
-        let head: Vec<&str> = text.lines().take(n - 1).collect();
-        let (_, err) = parse_cachescope_str(&head.join("\n")).unwrap_err();
-        assert!(err.contains("summary"), "{err}");
-        // Unknown kind.
-        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        lines.insert(1, "{\"kind\": \"mystery\"}".into());
-        let (line, err) = parse_cachescope_str(&lines.join("\n")).unwrap_err();
-        assert_eq!(line, 2);
-        assert!(err.contains("unknown line kind `mystery`"), "{err}");
-    }
-
-    #[test]
     fn report_covers_every_section() {
-        let parsed = parse_cachescope_str(&report_to_jsonl(&labels(), &sample_report())).unwrap();
+        let parsed =
+            read_framed::<ParsedScope>(&report_to_jsonl(&labels(), &sample_report())).unwrap();
         let report = render_report(&parsed);
         assert!(report.contains("=== sha cachescope ==="));
         assert!(report.contains("BDI on NVSRAMCache under acc_kagura"));
@@ -629,9 +550,9 @@ mod tests {
     fn single_document_json_has_the_cell_fields() {
         let doc = report_to_json(&sample_report());
         assert_eq!(doc.get("algorithm").and_then(Value::as_str), Some("BDI"));
-        assert_eq!(u(&doc, "dcache.counters.hits").unwrap(), 130);
-        assert_eq!(u(&doc, "latency.nvm").unwrap(), 50);
-        assert_eq!(u(&doc, "boundary_rows").unwrap(), 2);
-        assert_eq!(u(&doc, "occupancy_snapshots").unwrap(), 1);
+        assert_eq!(jsonl::u64(&doc, "dcache.counters.hits").unwrap(), 130);
+        assert_eq!(jsonl::u64(&doc, "latency.nvm").unwrap(), 50);
+        assert_eq!(jsonl::u64(&doc, "boundary_rows").unwrap(), 2);
+        assert_eq!(jsonl::u64(&doc, "occupancy_snapshots").unwrap(), 1);
     }
 }

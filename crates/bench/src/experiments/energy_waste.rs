@@ -12,7 +12,7 @@
 //! the ACC waste Kagura recovers.
 
 use ehs_sim::{runner::default_trace, EhsDesign, GovernorSpec, SimStats, Simulator};
-use ehs_telemetry::{Event, Stamped, VecSink};
+use ehs_telemetry::{jsonl, Event, Stamped, VecSink};
 use ehs_workloads::App;
 use kagura_core::KaguraConfig;
 use serde_json::{json, Value};
@@ -122,12 +122,12 @@ pub fn energy_waste(ctx: &ExpContext) -> Value {
         for ((app, _, _), (_, _, events)) in jobs.iter().zip(&runs) {
             let Some(events) = events else { continue };
             let path = dir.join(format!("flight_{}.jsonl", app.name()));
-            let lines: String = events
+            let lines: Vec<_> = events
                 .iter()
                 .filter(|s| s.event.flight_relevant())
-                .map(|s| serde_json::to_string(&s.to_value()).expect("serializable") + "\n")
+                .map(Stamped::to_value)
                 .collect();
-            crate::fsutil::atomic_write(&path, lines.as_bytes())
+            crate::fsutil::atomic_write(&path, jsonl::to_string(&lines).as_bytes())
                 .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         }
         println!("  [flight records under {} — render with `repro explain`]", dir.display());

@@ -145,52 +145,9 @@ pub fn fleet(ctx: &ExpContext) -> Value {
 
     let report = report_json(&params, &spec, &agg);
 
-    // Per-stratum population table: speedup distribution with its 95 %
-    // bootstrap CI, plus the waste-fraction median.
-    let fmt = |v: &Value, k: &str| {
-        v.get(k).and_then(Value::as_f64).map_or_else(|| "n/a".into(), |x| format!("{x:.3}"))
-    };
-    let mut rows = Vec::new();
-    for stratum in report.get("strata").and_then(Value::as_array).into_iter().flatten() {
-        let metric = |name: &str| {
-            stratum
-                .get("metrics")
-                .and_then(Value::as_array)
-                .into_iter()
-                .flatten()
-                .find(|m| m.get("metric").and_then(Value::as_str) == Some(name))
-                .cloned()
-                .unwrap_or(Value::Null)
-        };
-        let speedup = metric("speedup");
-        let waste = metric("waste_fraction");
-        let ci = match (
-            speedup.get("ci_lo").and_then(Value::as_f64),
-            speedup.get("ci_hi").and_then(Value::as_f64),
-        ) {
-            (Some(lo), Some(hi)) => format!("[{lo:.3}, {hi:.3}]"),
-            _ => "n/a".into(),
-        };
-        rows.push(vec![
-            stratum.get("stratum").and_then(Value::as_str).unwrap_or("?").to_string(),
-            stratum.get("cells").and_then(Value::as_u64).unwrap_or(0).to_string(),
-            stratum.get("failed").and_then(Value::as_u64).unwrap_or(0).to_string(),
-            fmt(&speedup, "mean"),
-            fmt(&speedup, "p50"),
-            fmt(&speedup, "p99"),
-            ci,
-            fmt(&waste, "p50"),
-        ]);
-    }
-    print_table(
-        &["stratum", "cells", "fail", "speedup", "p50", "p99", "95% CI (mean)", "waste p50"],
-        &rows,
-    );
-    println!("  (metrics: {})", METRICS.iter().map(|&(n, _)| n).collect::<Vec<_>>().join(", "));
-
-    // Stream the same report as JSONL and immediately parse it back
-    // strictly — every campaign output is its own schema round-trip
-    // check, like the cachescope streams.
+    // Stream the report as JSONL and immediately parse it back strictly
+    // — every campaign output is its own schema round-trip check, like
+    // the cachescope streams — then print the table from the parsed rows.
     let jsonl_path = ctx.out_dir.join("fleet.jsonl");
     let stream = report_jsonl(&report);
     fsutil::atomic_write(&jsonl_path, stream.as_bytes())
@@ -201,6 +158,34 @@ pub fn fleet(ctx: &ExpContext) -> Value {
         parsed.cells, agg.overall.cells,
         "parsed stream disagrees with the aggregate on cell count"
     );
+
+    // Per-stratum population table: speedup distribution with its 95 %
+    // bootstrap CI, plus the waste-fraction median.
+    let fmt = |x: Option<f64>| x.map_or_else(|| "n/a".into(), |x| format!("{x:.3}"));
+    let rows: Vec<Vec<String>> = parsed
+        .strata
+        .iter()
+        .map(|stratum| {
+            let no_metric = (0, None, None, None, None);
+            let (_, mean, p50, p99, ci) = stratum.metrics.get("speedup").unwrap_or(&no_metric);
+            let waste_p50 = stratum.metrics.get("waste_fraction").and_then(|m| m.2);
+            vec![
+                stratum.stratum.clone(),
+                stratum.cells.to_string(),
+                stratum.failed.to_string(),
+                fmt(*mean),
+                fmt(*p50),
+                fmt(*p99),
+                ci.map_or_else(|| "n/a".into(), |(lo, hi)| format!("[{lo:.3}, {hi:.3}]")),
+                fmt(waste_p50),
+            ]
+        })
+        .collect();
+    print_table(
+        &["stratum", "cells", "fail", "speedup", "p50", "p99", "95% CI (mean)", "waste p50"],
+        &rows,
+    );
+    println!("  (metrics: {})", METRICS.iter().map(|&(n, _)| n).collect::<Vec<_>>().join(", "));
     println!("  [fleet stream in {} (parse-back ok)]", jsonl_path.display());
 
     ctx.save("fleet", &report);

@@ -14,14 +14,13 @@
 
 use ehs_compress::Algorithm;
 use ehs_sim::{CellAttackReport, GovernorSpec, LeakscopeOptions};
+use ehs_telemetry::jsonl;
 use kagura_core::{KaguraConfig, RandThresholdConfig};
 use serde_json::{json, Value};
 
 use super::cfg;
 use crate::cachescope::ScopeLabels;
-use crate::leakscope::{
-    parse_leakscope_str, render_leak_table, report_to_jsonl, to_hex, write_jsonl,
-};
+use crate::leakscope::{render_leak_table, report_to_jsonl, to_hex, write_jsonl, ParsedLeak};
 use crate::{parallel_map, ExpContext};
 
 /// Governor columns of the grid, in report order. The countermeasure
@@ -80,7 +79,7 @@ pub fn leakscope(ctx: &ExpContext) -> Value {
         .map(|(&(alg, g), report)| {
             let labels =
                 ScopeLabels::new(cell_slug(alg, g), cfg(governors()[g]).design.name(), GOV_KEYS[g]);
-            parse_leakscope_str(&report_to_jsonl(&labels, report))
+            jsonl::read_framed::<ParsedLeak>(&report_to_jsonl(&labels, report))
                 .unwrap_or_else(|(line, e)| panic!("self parse-back failed at line {line}: {e}"))
         })
         .collect();

@@ -2,16 +2,16 @@
 //! flight-record streams dumped by `repro energy_waste --telemetry DIR`
 //! or `simrun --flight-record FILE`.
 //!
-//! The parser here is deliberately *strict*, unlike the lenient
-//! [`ehs_telemetry::sink::parse_jsonl`] used for ad-hoc analysis: every
-//! line of every `flight_<app>.jsonl` must be valid JSON and a
-//! well-formed [`Stamped`] event, and a malformed line fails the whole
-//! command with a `file:line` diagnostic. CI uses this as the
+//! Every stream is read *strictly* through the shared
+//! [`ehs_telemetry::jsonl`] readers: every line of every
+//! `flight_<app>.jsonl` must be valid JSON and a well-formed [`Stamped`]
+//! event, and a malformed line fails the whole command with a
+//! `file:line` diagnostic naming the field. CI uses this as the
 //! parse-back gate for the flight-record schema.
 
 use std::path::Path;
 
-use ehs_telemetry::{Event, FlightRecord, Stamped};
+use ehs_telemetry::{jsonl, Event, FlightRecord, Stamped};
 use serde_json::Value;
 
 use crate::fsutil::{discover_streams, parse_stream_file};
@@ -20,25 +20,12 @@ use crate::fsutil::{discover_streams, parse_stream_file};
 /// before eliding the middle.
 const TIMELINE_HEAD: usize = 10;
 
-/// Strictly parses one flight-record JSONL file.
-///
-/// Blank lines are allowed (trailing newline); anything else that does
-/// not round-trip through [`Stamped::from_value_strict`] is an error
-/// naming the file, the 1-based line, *and* the offending field
-/// (missing, mistyped, or unknown kind).
+/// Strictly parses one flight-record JSONL file: anything that does not
+/// decode through [`Stamped::decode`] is an error naming the file, the
+/// 1-based line *and* the offending field (missing, mistyped, or
+/// unknown kind).
 pub fn parse_flight_file(path: &Path) -> Result<Vec<Stamped>, String> {
-    parse_stream_file(path, |text| {
-        let mut events = Vec::new();
-        for (idx, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let v =
-                serde_json::from_str(line).map_err(|e| (idx + 1, format!("invalid JSON: {e}")))?;
-            events.push(Stamped::from_value_strict(&v).map_err(|e| (idx + 1, e.to_string()))?);
-        }
-        Ok(events)
-    })
+    parse_stream_file(path, |text| jsonl::read_records(text, Stamped::decode))
 }
 
 /// The flight records of a stream, in emission order.
@@ -213,18 +200,14 @@ pub fn render_report(app: &str, events: &[Stamped], waste_baseline: Option<(f64,
 /// `energy_waste.json` document; `None` when absent or malformed (the
 /// report degrades gracefully).
 pub fn waste_baseline(doc: &Value, app: &str) -> Option<(f64, f64)> {
-    let rows = doc.get("rows")?.as_array()?;
+    let rows = jsonl::array(doc, "rows").ok()?;
     let row = rows.iter().find(|r| {
-        r.get("app").and_then(Value::as_str) == Some(app)
-            && r.get("design").and_then(Value::as_str) == Some("NVSRAMCache")
+        jsonl::str(r, "app") == Ok(app) && jsonl::str(r, "design") == Ok("NVSRAMCache")
     })?;
-    let cells = row.get("cells")?.as_array()?;
+    let cells = jsonl::array(row, "cells").ok()?;
     let wasted = |key: &str| {
-        cells
-            .iter()
-            .find(|c| c.get("governor").and_then(Value::as_str) == Some(key))
-            .and_then(|c| c.get("wasted_pj"))
-            .and_then(Value::as_f64)
+        let cell = cells.iter().find(|c| jsonl::str(c, "governor") == Ok(key))?;
+        jsonl::f64(cell, "wasted_pj").ok()
     };
     Some((wasted("acc")?, wasted("acc_kagura")?))
 }
@@ -324,8 +307,8 @@ mod tests {
         ]
     }
 
-    fn jsonl(events: &[Stamped]) -> String {
-        events.iter().map(|s| serde_json::to_string(&s.to_value()).unwrap() + "\n").collect()
+    fn to_text(events: &[Stamped]) -> String {
+        jsonl::to_string(&events.iter().map(Stamped::to_value).collect::<Vec<_>>())
     }
 
     #[test]
@@ -333,7 +316,7 @@ mod tests {
         let dir = std::env::temp_dir().join("kagura_explain_ok");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("flight_sha.jsonl");
-        std::fs::write(&path, jsonl(&stream())).unwrap();
+        std::fs::write(&path, to_text(&stream())).unwrap();
         let events = parse_flight_file(&path).expect("valid stream parses");
         assert_eq!(events, stream());
         let found = discover_streams(&dir, "flight_").unwrap();
@@ -341,47 +324,32 @@ mod tests {
     }
 
     #[test]
-    fn strict_parse_names_the_bad_line() {
-        let dir = std::env::temp_dir().join("kagura_explain_bad");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("flight_crc32.jsonl");
-        let mut text = jsonl(&stream());
-        text.push_str("{\"kind\": \"FlightRecord\", \"t_us\": 1.0}\n");
-        std::fs::write(&path, text).unwrap();
-        let err = parse_flight_file(&path).unwrap_err();
-        assert!(err.contains("flight_crc32.jsonl:4"), "error must name file:line, got {err}");
-        assert!(err.contains("`cycle`"), "error must name the missing field, got {err}");
-
-        std::fs::write(&path, "not json at all\n").unwrap();
-        let err = parse_flight_file(&path).unwrap_err();
-        assert!(err.contains("invalid JSON"), "got {err}");
-    }
-
-    #[test]
-    fn strict_parse_diagnoses_truncated_and_bit_flipped_lines() {
+    fn strict_parse_names_file_line_and_field() {
         let dir = std::env::temp_dir().join("kagura_explain_corrupt");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("flight_gsm.jsonl");
+        let parse = |text: String| {
+            std::fs::write(&path, text).unwrap();
+            parse_flight_file(&path).unwrap_err()
+        };
 
         // A single-bit flip in a field name ('d' ^ 0x02 = 'f') leaves the
-        // line valid JSON but the event missing `old`: the error names
-        // the exact line and field.
-        let good = jsonl(&stream());
+        // line valid JSON but the event missing `old`.
+        let good = to_text(&stream());
         let flipped = good.replacen("\"old\":", "\"olf\":", 1);
         assert_ne!(good, flipped, "fixture must contain a ThresholdAdjust line");
-        std::fs::write(&path, flipped).unwrap();
-        let err = parse_flight_file(&path).unwrap_err();
-        assert!(err.contains("flight_gsm.jsonl:2"), "file:line, got {err}");
-        assert!(err.contains("`old`"), "field name, got {err}");
+        let err = parse(flipped);
+        assert!(err.contains("flight_gsm.jsonl:2: missing field `old`"), "got {err}");
+
+        // A record without its stamp names the first missing stamp field.
+        let err = parse(format!("{good}{{\"kind\": \"FlightRecord\", \"t_us\": 1.0}}\n"));
+        assert!(err.contains("flight_gsm.jsonl:4: missing field `cycle`"), "got {err}");
 
         // A write torn mid-line (e.g. a killed dump) is an invalid-JSON
         // error on that line.
         let lines: Vec<&str> = good.lines().collect();
-        let torn = format!("{}\n{}\n{}", lines[0], lines[1], &lines[2][..lines[2].len() / 2]);
-        std::fs::write(&path, torn).unwrap();
-        let err = parse_flight_file(&path).unwrap_err();
-        assert!(err.contains("flight_gsm.jsonl:3"), "file:line, got {err}");
-        assert!(err.contains("invalid JSON"), "got {err}");
+        let err = parse(format!("{}\n{}\n{}", lines[0], lines[1], &lines[2][..lines[2].len() / 2]));
+        assert!(err.contains("flight_gsm.jsonl:3: invalid JSON"), "got {err}");
     }
 
     #[test]

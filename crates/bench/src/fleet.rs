@@ -27,6 +27,7 @@ use std::path::{Path, PathBuf};
 
 use ehs_sim::fleet::{FleetCell, FleetSpec};
 use ehs_sim::SimStats;
+use ehs_telemetry::jsonl::{self, Framed};
 use ehs_telemetry::{quantile_of_sorted, Histogram, Reservoir};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -130,10 +131,9 @@ impl MetricAgg {
     }
 
     fn from_exact_json(v: &Value) -> Result<Self, String> {
-        let part = |k: &str| v.get(k).ok_or_else(|| format!("metric field `{k}` missing"));
         Ok(MetricAgg {
-            hist: Histogram::from_exact_json(part("hist")?)?,
-            sample: Reservoir::from_exact_json(part("sample")?)?,
+            hist: jsonl::nested(v, "hist", Histogram::from_exact_json)?,
+            sample: jsonl::nested(v, "sample", Reservoir::from_exact_json)?,
         })
     }
 }
@@ -187,18 +187,7 @@ impl StratumAgg {
     }
 
     fn from_exact_json(v: &Value) -> Result<Self, String> {
-        let u = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("stratum field `{k}` is not a u64"))
-        };
-        let metrics = v
-            .get("metrics")
-            .and_then(Value::as_array)
-            .ok_or_else(|| "stratum field `metrics` is not an array".to_string())?
-            .iter()
-            .map(MetricAgg::from_exact_json)
-            .collect::<Result<Vec<_>, _>>()?;
+        let metrics = jsonl::items(v, "metrics", MetricAgg::from_exact_json)?;
         if metrics.len() != METRICS.len() {
             return Err(format!(
                 "stratum holds {} metrics, expected {}",
@@ -207,9 +196,9 @@ impl StratumAgg {
             ));
         }
         Ok(StratumAgg {
-            cells: u("cells")?,
-            failed: u("failed")?,
-            incomplete: u("incomplete")?,
+            cells: jsonl::u64(v, "cells")?,
+            failed: jsonl::u64(v, "failed")?,
+            incomplete: jsonl::u64(v, "incomplete")?,
             metrics,
         })
     }
@@ -326,30 +315,15 @@ impl FleetAggregate {
     ///
     /// Returns `Err` naming the offending field on any schema mismatch.
     pub fn from_exact_json(v: &Value) -> Result<Self, String> {
-        let campaign_seed = v
-            .get("campaign_seed")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| "aggregate field `campaign_seed` is not a u64".to_string())?;
-        let strata = v
-            .get("strata")
-            .and_then(Value::as_array)
-            .ok_or_else(|| "aggregate field `strata` is not an array".to_string())?
-            .iter()
-            .map(|s| {
-                let label = s
-                    .get("stratum")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| "stratum label missing".to_string())?;
-                let agg = StratumAgg::from_exact_json(
-                    s.get("agg").ok_or_else(|| format!("stratum {label:?} has no `agg`"))?,
-                )?;
-                Ok((label.to_string(), agg))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let overall = StratumAgg::from_exact_json(
-            v.get("overall").ok_or_else(|| "aggregate field `overall` missing".to_string())?,
-        )?;
-        Ok(FleetAggregate { campaign_seed, strata, overall })
+        let stratum = |s: &Value| -> Result<(String, StratumAgg), String> {
+            let label = jsonl::str(s, "stratum")?.to_string();
+            Ok((label, jsonl::nested(s, "agg", StratumAgg::from_exact_json)?))
+        };
+        Ok(FleetAggregate {
+            campaign_seed: jsonl::u64(v, "campaign_seed")?,
+            strata: jsonl::items(v, "strata", stratum)?,
+            overall: jsonl::nested(v, "overall", StratumAgg::from_exact_json)?,
+        })
     }
 }
 
@@ -437,22 +411,23 @@ impl FleetJournal {
         else {
             return Self::create(out_dir, fingerprint);
         };
+        let shard_from = |record: &Value| -> Result<(u64, (Value, Vec<Value>)), String> {
+            let agg = jsonl::field(record, "agg")?.clone();
+            Ok((jsonl::u64(record, "shard")?, (agg, jsonl::array(record, "failures")?.to_vec())))
+        };
         let mut shards = BTreeMap::new();
         for (i, record) in records.iter().enumerate() {
-            let shard = record.get("shard").and_then(Value::as_u64);
-            let agg = record.get("agg").cloned();
-            let failures = record.get("failures").and_then(Value::as_array).map(<[Value]>::to_vec);
-            match (shard, agg, failures) {
-                (Some(s), Some(a), Some(f)) => {
-                    shards.insert(s, (a, f));
-                }
-                _ => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("{}: journal line {} is not a shard record", path.display(), i + 2),
-                    ));
-                }
-            }
+            let (shard, entry) = shard_from(record).map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{}: journal line {} is not a shard record: {e}",
+                        path.display(),
+                        i + 2
+                    ),
+                )
+            })?;
+            shards.insert(shard, entry);
         }
         Ok(FleetJournal { path, file, shards })
     }
@@ -554,36 +529,27 @@ pub fn report_json(params: &FleetParams, spec: &FleetSpec, agg: &FleetAggregate)
 /// Renders the report as a JSONL stream: a header line, one line per
 /// stratum (population-wide `overall` last), and a summary line.
 pub fn report_jsonl(report: &Value) -> String {
-    let mut out = String::new();
-    let line = |out: &mut String, v: Value| {
-        out.push_str(&serde_json::to_string(&v).expect("serializable"));
-        out.push('\n');
-    };
-    line(
-        &mut out,
-        json!({
-            "kind": "header",
-            "population": report.get("population").cloned().unwrap_or(Value::Null),
-            "seed": report.get("seed").cloned().unwrap_or(Value::Null),
-            "scale": report.get("scale").cloned().unwrap_or(Value::Null),
-        }),
-    );
-    let strata: Vec<Value> =
-        report.get("strata").and_then(Value::as_array).map(<[Value]>::to_vec).unwrap_or_default();
+    let top = |k: &str| jsonl::field(report, k).cloned().unwrap_or(Value::Null);
+    let mut lines = vec![json!({
+        "kind": "header",
+        "population": top("population"),
+        "seed": top("seed"),
+        "scale": top("scale"),
+    })];
     let (mut cells, mut failed) = (0u64, 0u64);
-    for s in &strata {
-        if s.get("stratum").and_then(Value::as_str) != Some("overall") {
-            cells += s.get("cells").and_then(Value::as_u64).unwrap_or(0);
-            failed += s.get("failed").and_then(Value::as_u64).unwrap_or(0);
+    for s in jsonl::array(report, "strata").unwrap_or_default() {
+        if jsonl::str(s, "stratum") != Ok("overall") {
+            cells += jsonl::u64(s, "cells").unwrap_or(0);
+            failed += jsonl::u64(s, "failed").unwrap_or(0);
         }
         let mut row = vec![("kind".to_string(), json!("stratum"))];
         if let Value::Object(fields) = s {
             row.extend(fields.iter().cloned());
         }
-        line(&mut out, Value::Object(row));
+        lines.push(Value::Object(row));
     }
-    line(&mut out, json!({ "kind": "summary", "cells": cells, "failed": failed }));
-    out
+    lines.push(json!({ "kind": "summary", "cells": cells, "failed": failed }));
+    jsonl::to_string(&lines)
 }
 
 /// One metric parsed back from the JSONL report:
@@ -617,95 +583,64 @@ pub struct FleetReport {
     pub cells: u64,
 }
 
-/// Parses a `fleet.jsonl` stream strictly: every line must be valid
-/// JSON of the expected kind with every required field, or the parse
-/// fails with a `file:line` diagnostic naming the offending field —
-/// the same contract the cachescope streams honour.
+fn stratum_row(v: &Value) -> Result<FleetStratumRow, String> {
+    let metric = |m: &Value| -> Result<(String, ParsedMetric), String> {
+        let f = |k: &str| jsonl::nullable(m, k, jsonl::f64);
+        let name = jsonl::str(m, "metric")?.to_string();
+        let count = jsonl::u64(m, "count")?;
+        let ci = match (f("ci_lo")?, f("ci_hi")?) {
+            (Some(lo), Some(hi)) => Some((lo, hi)),
+            _ => None,
+        };
+        Ok((name, (count, f("mean")?, f("p50")?, f("p99")?, ci)))
+    };
+    Ok(FleetStratumRow {
+        stratum: jsonl::str(v, "stratum")?.to_string(),
+        cells: jsonl::u64(v, "cells")?,
+        failed: jsonl::u64(v, "failed")?,
+        metrics: jsonl::items(v, "metrics", metric)?.into_iter().collect(),
+    })
+}
+
+impl Framed for FleetReport {
+    const HEADER: &'static str = "header";
+    const RECORDS: &'static [&'static str] = &["stratum"];
+
+    fn header(v: &Value) -> Result<Self, String> {
+        Ok(FleetReport {
+            population: jsonl::u64(v, "population")?,
+            seed: jsonl::u64(v, "seed")?,
+            strata: Vec::new(),
+            cells: 0,
+        })
+    }
+
+    fn record(&mut self, _: &str, v: &Value) -> Result<(), String> {
+        self.strata.push(stratum_row(v)?);
+        Ok(())
+    }
+
+    fn summary(&mut self, v: &Value) -> Result<(), String> {
+        self.cells = jsonl::u64(v, "cells")?;
+        Ok(())
+    }
+
+    fn check(&self) -> Result<(), String> {
+        if self.strata.last().map(|s| s.stratum.as_str()) != Some("overall") {
+            return Err("stream must end its strata with `overall`".into());
+        }
+        Ok(())
+    }
+}
+
+/// Parses a `fleet.jsonl` stream strictly, with the same `file:line`
+/// diagnostics naming the offending field as the other observer streams.
 ///
 /// # Errors
 ///
 /// Returns a `file:line`-prefixed message on any malformed line.
 pub fn parse_fleet_file(path: &Path) -> Result<FleetReport, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let ctx = |i: usize, msg: String| format!("{}:{}: {msg}", path.display(), i + 1);
-    let mut header: Option<(u64, u64)> = None;
-    let mut strata = Vec::new();
-    let mut summary: Option<u64> = None;
-    for (i, line) in text.lines().enumerate() {
-        let v: Value = serde_json::from_str(line).map_err(|e| ctx(i, format!("bad JSON: {e}")))?;
-        let kind = v
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| ctx(i, "missing field `kind`".into()))?;
-        let u = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| ctx(i, format!("field `{k}` is not a u64")))
-        };
-        match kind {
-            "header" => {
-                if i != 0 {
-                    return Err(ctx(i, "header after first line".into()));
-                }
-                header = Some((u("population")?, u("seed")?));
-            }
-            "stratum" => {
-                let label = v
-                    .get("stratum")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| ctx(i, "field `stratum` is not a string".into()))?;
-                let mut metrics = BTreeMap::new();
-                let rows = v
-                    .get("metrics")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| ctx(i, "field `metrics` is not an array".into()))?;
-                for m in rows {
-                    let name = m
-                        .get("metric")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| ctx(i, "metric row missing `metric`".into()))?;
-                    let count = m
-                        .get("count")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| ctx(i, format!("metric {name:?} missing `count`")))?;
-                    let f = |k: &str| -> Result<Option<f64>, String> {
-                        match m.get(k) {
-                            Some(Value::Null) => Ok(None),
-                            Some(x) => x.as_f64().map(Some).ok_or_else(|| {
-                                ctx(i, format!("metric {name:?} field `{k}` is not a number"))
-                            }),
-                            None => Err(ctx(i, format!("metric {name:?} missing `{k}`"))),
-                        }
-                    };
-                    let ci = match (f("ci_lo")?, f("ci_hi")?) {
-                        (Some(lo), Some(hi)) => Some((lo, hi)),
-                        _ => None,
-                    };
-                    metrics.insert(name.to_string(), (count, f("mean")?, f("p50")?, f("p99")?, ci));
-                }
-                strata.push(FleetStratumRow {
-                    stratum: label.to_string(),
-                    cells: u("cells")?,
-                    failed: u("failed")?,
-                    metrics,
-                });
-            }
-            "summary" => {
-                if summary.is_some() {
-                    return Err(ctx(i, "duplicate summary line".into()));
-                }
-                summary = Some(u("cells")?);
-            }
-            other => return Err(ctx(i, format!("unknown line kind {other:?}"))),
-        }
-    }
-    let (population, seed) =
-        header.ok_or_else(|| format!("{}: missing header line", path.display()))?;
-    let cells = summary.ok_or_else(|| format!("{}: missing summary line", path.display()))?;
-    if strata.last().map(|s| s.stratum.as_str()) != Some("overall") {
-        return Err(format!("{}: stream must end its strata with `overall`", path.display()));
-    }
-    Ok(FleetReport { population, seed, strata, cells })
+    crate::fsutil::parse_stream_file(path, jsonl::read_framed)
 }
 
 #[cfg(test)]
@@ -876,6 +811,33 @@ mod tests {
         fs::write(&path, lines.join("\n")).unwrap();
         let err = parse_fleet_file(&path).unwrap_err();
         assert!(err.contains(":2:"), "diagnostic must name the line: {err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn jsonl_report_framing_is_strict() {
+        let s = spec(12);
+        let params = FleetParams { population: 12, seed: s.seed, shard_size: 4 };
+        let mut agg = FleetAggregate::new(s.seed);
+        observe_synthetic(&mut agg, &s, 0..12);
+        let text = report_jsonl(&report_json(&params, &s, &agg));
+        let lines: Vec<&str> = text.lines().collect();
+        let n = lines.len();
+        let dir = std::env::temp_dir().join("kagura_fleet_framing_test");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fleet.jsonl");
+        let parse = |body: String| {
+            fs::write(&path, body).unwrap();
+            parse_fleet_file(&path)
+        };
+        // A stratum after the summary is rejected on its own line.
+        let err = parse(format!("{text}{}\n", lines[1])).unwrap_err();
+        assert!(err.contains(&format!(":{}: unexpected line after the `summary`", n + 1)), "{err}");
+        // A blank line is skipped, as in every other observer stream.
+        assert!(parse(text.replacen('\n', "\n\n", 1)).is_ok());
+        // A missing summary is reported on the last line.
+        let err = parse(lines[..n - 1].join("\n")).unwrap_err();
+        assert!(err.contains(&format!(":{}: stream ended without a `summary`", n - 1)), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -17,14 +17,16 @@
 //! final line, which resume drops *and truncates off disk* so later
 //! appends land on a clean line boundary).
 //!
-//! The observer streams (`flight_*`, `cachescope_*`, `leakscope_*` JSONL)
-//! share their reading side here too: [`discover_streams`] finds them and
-//! [`parse_stream_file`] runs a strict parser with `file:line` errors.
+//! The observer streams (`flight_*`, `cachescope_*`, `leakscope_*` and
+//! `fleet` JSONL) share their file side here too: [`discover_streams`]
+//! finds them and [`parse_stream_file`] runs one of the strict
+//! [`ehs_telemetry::jsonl`] readers with `file:line` errors.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
+use ehs_telemetry::jsonl;
 use serde_json::{json, Value};
 
 /// Extension used for in-flight writes; `repro --resume` sweeps strays.
@@ -174,8 +176,8 @@ pub fn resume_journal(
         .filter(|p| p.ends_with('\n'))
         .and_then(|p| serde_json::from_str(p.trim_end()).ok())
         .ok_or_else(|| bad(format!("{}: missing or corrupt journal header", path.display())))?;
-    if header.get("journal").and_then(Value::as_str) != Some(fmt.name)
-        || header.get("version").and_then(Value::as_u64) != Some(fmt.version)
+    if jsonl::str(&header, "journal") != Ok(fmt.name)
+        || jsonl::u64(&header, "version") != Ok(fmt.version)
     {
         return Err(bad(format!(
             "{}: not a {} v{} journal",

@@ -19,6 +19,7 @@ use std::fs::{self, File};
 use std::io;
 use std::path::{Path, PathBuf};
 
+use ehs_telemetry::jsonl;
 use serde_json::{json, Value};
 
 use crate::fsutil::{self, JournalFormat};
@@ -77,12 +78,8 @@ impl RunJournal {
         };
         let mut completed = BTreeMap::new();
         for cell in records {
-            if let Some(id) = cell.get("id").and_then(Value::as_str) {
-                let failures = cell
-                    .get("failures")
-                    .and_then(Value::as_array)
-                    .map(<[Value]>::to_vec)
-                    .unwrap_or_default();
+            if let Ok(id) = jsonl::str(&cell, "id") {
+                let failures = jsonl::array(&cell, "failures").unwrap_or_default().to_vec();
                 completed.insert(id.to_string(), failures);
             }
         }

@@ -3,19 +3,20 @@
 //! The sim crate's [`CellAttackReport`] crosses process boundaries here:
 //! serialization to a strict JSONL stream (one `leakscope` header, one
 //! `probe` line per guess run, one `guess` line per recovered byte, one
-//! trailing `summary`), a strict parser that names the offending line and
-//! field on malformed input — mirroring the cachescope conventions CI's
-//! parse-back gate enforces — and the text reports `repro explain`
-//! prints: the per-cell guess timeline and the cross-cell
+//! trailing `summary`), its per-kind field mapping for the shared strict
+//! reader ([`ehs_telemetry::jsonl::read_framed`], the same one
+//! cachescope and `fleet.jsonl` use), and the text reports `repro
+//! explain` prints: the per-cell guess timeline and the cross-cell
 //! MI/guesses-to-recovery table.
 
 use std::path::Path;
 
 use ehs_sim::{CellAttackReport, GuessProbe};
+use ehs_telemetry::jsonl::{self, Framed};
 use ehs_telemetry::AttackStats;
 use serde_json::{json, Value};
 
-use crate::cachescope::{arr, f, field, s, u, ScopeLabels};
+use crate::cachescope::ScopeLabels;
 
 /// Lowercase hex of a byte string.
 pub fn to_hex(bytes: &[u8]) -> String {
@@ -35,17 +36,13 @@ pub fn from_hex(text: &str) -> Result<Vec<u8>, String> {
         .collect()
 }
 
-fn i64_of(v: &Value, path: &str) -> Result<i64, String> {
-    field(v, path)?.as_i64().ok_or_else(|| format!("field `{path}` is not an integer"))
-}
-
-fn bool_of(v: &Value, path: &str) -> Result<bool, String> {
-    field(v, path)?.as_bool().ok_or_else(|| format!("field `{path}` is not a boolean"))
-}
-
 fn byte_of(v: &Value, path: &str) -> Result<u8, String> {
-    let raw = u(v, path)?;
+    let raw = jsonl::u64(v, path)?;
     u8::try_from(raw).map_err(|_| format!("field `{path}` does not fit in a byte ({raw})"))
+}
+
+fn hex_of(v: &Value, path: &str) -> Result<Vec<u8>, String> {
+    from_hex(jsonl::str(v, path)?).map_err(|e| format!("field `{path}`: {e}"))
 }
 
 fn stats_json(st: &AttackStats) -> Value {
@@ -106,7 +103,7 @@ pub fn report_to_jsonl(labels: &ScopeLabels, report: &CellAttackReport) -> Strin
         "mi_samples": report.mi_samples.len(),
         "histograms": hists,
     }));
-    lines.iter().map(|v| serde_json::to_string(v).expect("serializable") + "\n").collect()
+    jsonl::to_string(&lines)
 }
 
 /// Atomically writes the JSONL stream for one cell.
@@ -119,7 +116,7 @@ pub fn write_jsonl(
 }
 
 /// A strictly-parsed leakscope stream.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParsedLeak {
     /// Header identity (`app` carries the cell slug).
     pub labels: ScopeLabels,
@@ -153,21 +150,22 @@ fn probe_from(v: &Value) -> Result<GuessProbe, String> {
     Ok(GuessProbe {
         byte_index: byte_of(v, "byte_index")?,
         guess: byte_of(v, "guess")?,
-        retry: u(v, "retry")? as u32,
-        latency: u(v, "latency")?,
-        hit: bool_of(v, "hit")?,
-        occ_delta: i64_of(v, "occ_delta")?,
+        retry: jsonl::u64(v, "retry")? as u32,
+        latency: jsonl::u64(v, "latency")?,
+        hit: jsonl::bool(v, "hit")?,
+        occ_delta: jsonl::i64(v, "occ_delta")?,
     })
 }
 
-fn stats_from(v: &Value) -> Result<AttackStats, String> {
+fn stats_from(st: &Value) -> Result<AttackStats, String> {
+    let u = |k: &str| jsonl::u64(st, k);
     Ok(AttackStats {
-        guesses: u(v, "stats.guesses")?,
-        probe_accesses: u(v, "stats.probe_accesses")?,
-        bytes_probed: u(v, "stats.bytes_probed")?,
-        retries: u(v, "stats.retries")?,
-        recovered_bytes: u(v, "stats.recovered_bytes")? as u32,
-        secret_bytes: u(v, "stats.secret_bytes")? as u32,
+        guesses: u("guesses")?,
+        probe_accesses: u("probe_accesses")?,
+        bytes_probed: u("bytes_probed")?,
+        retries: u("retries")?,
+        recovered_bytes: u("recovered_bytes")? as u32,
+        secret_bytes: u("secret_bytes")? as u32,
     })
 }
 
@@ -175,125 +173,65 @@ fn stats_from(v: &Value) -> Result<AttackStats, String> {
 pub type LeakHistograms = Vec<(u64, Vec<(u64, u64)>)>;
 
 fn histograms_from(v: &Value) -> Result<LeakHistograms, String> {
-    let mut out = Vec::new();
-    for (i, h) in arr(v, "histograms")?.iter().enumerate() {
-        let secret = u(h, "secret").map_err(|_| format!("field `histograms[{i}].secret`"))?;
-        let mut bins = Vec::new();
-        for (j, b) in arr(h, "bins")
-            .map_err(|_| format!("field `histograms[{i}].bins` is not an array"))?
-            .iter()
-            .enumerate()
-        {
-            let pair = b
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .and_then(|p| Some((p[0].as_u64()?, p[1].as_u64()?)))
-                .ok_or_else(|| {
-                    format!("field `histograms[{i}].bins[{j}]` is not a [latency, count] pair")
-                })?;
-            bins.push(pair);
-        }
-        out.push((secret, bins));
-    }
-    Ok(out)
+    jsonl::items(v, "histograms", |h| {
+        let bins = jsonl::items(h, "bins", |pair| match jsonl::u64s(pair, "")?[..] {
+            [latency, count] => Ok((latency, count)),
+            _ => Err("not a [latency, count] pair".into()),
+        })?;
+        Ok((jsonl::u64(h, "secret")?, bins))
+    })
 }
 
-/// Strictly parses one leakscope JSONL stream; the error names the
-/// 1-based line and the offending field.
-pub fn parse_leakscope_str(text: &str) -> Result<ParsedLeak, (usize, String)> {
-    let mut parsed: Option<ParsedLeak> = None;
-    let mut done = false;
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let at = |e: String| (lineno, e);
-        let v: Value = serde_json::from_str(line).map_err(|e| at(format!("invalid JSON: {e}")))?;
-        if done {
-            return Err(at("unexpected line after the `summary` line".into()));
-        }
-        let kind = s(&v, "kind").map_err(at)?;
-        if parsed.is_none() && kind != "leakscope" {
-            return Err(at(format!("first line must have kind `leakscope`, got `{kind}`")));
-        }
-        match kind.as_str() {
-            "leakscope" => {
-                if parsed.is_some() {
-                    return Err(at("duplicate `leakscope` header line".into()));
-                }
-                let pad_family = match field(&v, "pad_family").map_err(at)? {
-                    Value::Null => None,
-                    other => Some(other.as_u64().ok_or_else(|| {
-                        at("field `pad_family` is not an unsigned integer or null".into())
-                    })?),
-                };
-                parsed = Some(ParsedLeak {
-                    labels: ScopeLabels {
-                        app: s(&v, "app").map_err(at)?,
-                        design: s(&v, "design").map_err(at)?,
-                        governor: s(&v, "governor").map_err(at)?,
-                    },
-                    algorithm: s(&v, "algorithm").map_err(at)?,
-                    supported: bool_of(&v, "supported").map_err(at)?,
-                    secret: from_hex(&s(&v, "secret").map_err(at)?)
-                        .map_err(|e| at(format!("field `secret`: {e}")))?,
-                    pad_family,
-                    probes: Vec::new(),
-                    guesses: Vec::new(),
-                    stats: AttackStats::default(),
-                    recovered: Vec::new(),
-                    mi_bits: 0.0,
-                    capacity_bits: 0.0,
-                    mi_samples: 0,
-                    histograms: Vec::new(),
-                });
-            }
-            "probe" => {
-                let p = parsed.as_mut().expect("header precedes by construction");
-                p.probes.push(probe_from(&v).map_err(at)?);
-            }
-            "guess" => {
-                let p = parsed.as_mut().expect("header precedes by construction");
-                p.guesses
-                    .push((u(&v, "byte_index").map_err(at)?, byte_of(&v, "value").map_err(at)?));
-            }
-            "summary" => {
-                let p = parsed.as_mut().expect("header precedes by construction");
-                p.stats = stats_from(&v).map_err(at)?;
-                p.recovered = from_hex(&s(&v, "recovered").map_err(at)?)
-                    .map_err(|e| at(format!("field `recovered`: {e}")))?;
-                p.mi_bits = f(&v, "mi_bits").map_err(at)?;
-                p.capacity_bits = f(&v, "capacity_bits").map_err(at)?;
-                p.mi_samples = u(&v, "mi_samples").map_err(at)?;
-                p.histograms = histograms_from(&v).map_err(at)?;
-                done = true;
-            }
-            other => return Err(at(format!("unknown line kind `{other}`"))),
-        }
+impl Framed for ParsedLeak {
+    const HEADER: &'static str = "leakscope";
+    const RECORDS: &'static [&'static str] = &["probe", "guess"];
+
+    fn header(v: &Value) -> Result<Self, String> {
+        Ok(ParsedLeak {
+            labels: ScopeLabels::from_header(v)?,
+            algorithm: jsonl::str(v, "algorithm")?.to_string(),
+            supported: jsonl::bool(v, "supported")?,
+            secret: hex_of(v, "secret")?,
+            pad_family: jsonl::nullable(v, "pad_family", jsonl::u64)?,
+            ..ParsedLeak::default()
+        })
     }
-    let last = text.lines().count().max(1);
-    let parsed =
-        parsed.ok_or((last, "empty stream: missing `leakscope` header line".to_string()))?;
-    if !done {
-        return Err((last, "stream ended without a `summary` line".to_string()));
+
+    fn record(&mut self, kind: &str, v: &Value) -> Result<(), String> {
+        match kind {
+            "probe" => self.probes.push(probe_from(v)?),
+            "guess" => self.guesses.push((jsonl::u64(v, "byte_index")?, byte_of(v, "value")?)),
+            _ => unreachable!("the reader passes only RECORDS kinds"),
+        }
+        Ok(())
     }
-    if parsed.recovered.len() != parsed.guesses.len() {
-        return Err((
-            last,
-            format!(
+
+    fn summary(&mut self, v: &Value) -> Result<(), String> {
+        self.stats = jsonl::nested(v, "stats", stats_from)?;
+        self.recovered = hex_of(v, "recovered")?;
+        self.mi_bits = jsonl::f64(v, "mi_bits")?;
+        self.capacity_bits = jsonl::f64(v, "capacity_bits")?;
+        self.mi_samples = jsonl::u64(v, "mi_samples")?;
+        self.histograms = histograms_from(v)?;
+        Ok(())
+    }
+
+    fn check(&self) -> Result<(), String> {
+        if self.recovered.len() != self.guesses.len() {
+            return Err(format!(
                 "summary `recovered` has {} byte(s) but the stream has {} `guess` line(s)",
-                parsed.recovered.len(),
-                parsed.guesses.len()
-            ),
-        ));
+                self.recovered.len(),
+                self.guesses.len()
+            ));
+        }
+        Ok(())
     }
-    Ok(parsed)
 }
 
-/// [`parse_leakscope_str`] over a file, prefixing `file:line:`.
+/// Strictly parses one leakscope JSONL file; the error names the file,
+/// the 1-based line and the offending field.
 pub fn parse_leakscope_file(path: &Path) -> Result<ParsedLeak, String> {
-    crate::fsutil::parse_stream_file(path, parse_leakscope_str)
+    crate::fsutil::parse_stream_file(path, jsonl::read_framed)
 }
 
 /// Renders one cell's attack report: outcome, guess timeline, channel
@@ -386,6 +324,7 @@ pub fn render_leak_table(cells: &[ParsedLeak]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ehs_telemetry::jsonl::read_framed;
     use ehs_telemetry::LatencyHistogram;
 
     fn sample_report() -> CellAttackReport {
@@ -458,7 +397,7 @@ mod tests {
     fn jsonl_round_trips_through_the_strict_parser() {
         let report = sample_report();
         let text = report_to_jsonl(&labels(), &report);
-        let parsed = parse_leakscope_str(&text).expect("generated stream parses");
+        let parsed = read_framed::<ParsedLeak>(&text).expect("generated stream parses");
         assert_eq!(parsed.labels, labels());
         assert_eq!(parsed.algorithm, "C-Pack");
         assert!(parsed.supported);
@@ -479,7 +418,7 @@ mod tests {
         // Corrupt a probe row: drop its `latency` field name.
         let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
         lines[1] = lines[1].replacen("\"latency\":", "\"lateness\":", 1);
-        let (line, err) = parse_leakscope_str(&lines.join("\n")).unwrap_err();
+        let (line, err) = read_framed::<ParsedLeak>(&lines.join("\n")).unwrap_err();
         assert_eq!(line, 2);
         assert!(err.contains("`latency`"), "error must name the field: {err}");
 
@@ -487,47 +426,26 @@ mod tests {
         let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
         let n = lines.len();
         lines[n - 1] = lines[n - 1].replacen("\"guesses\":300", "\"guesses\":\"many\"", 1);
-        let (line, err) = parse_leakscope_str(&lines.join("\n")).unwrap_err();
+        let (line, err) = read_framed::<ParsedLeak>(&lines.join("\n")).unwrap_err();
         assert_eq!(line, n);
         assert!(err.contains("`stats.guesses`"), "{err}");
-
-        // Truncation mid-token is an invalid-JSON error on that line.
-        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        let cut = lines[2].len() / 2;
-        lines[2].truncate(cut);
-        let (line, err) = parse_leakscope_str(&lines.join("\n")).unwrap_err();
-        assert_eq!(line, 3);
-        assert!(err.contains("invalid JSON"), "{err}");
     }
 
     #[test]
-    fn structural_defects_are_rejected() {
+    fn unaccounted_guess_line_is_rejected() {
         let text = report_to_jsonl(&labels(), &sample_report());
-        // Missing header.
-        let body: Vec<&str> = text.lines().skip(1).collect();
-        let (_, err) = parse_leakscope_str(&body.join("\n")).unwrap_err();
-        assert!(err.contains("first line"), "{err}");
-        // Missing summary.
-        let n = text.lines().count();
-        let head: Vec<&str> = text.lines().take(n - 1).collect();
-        let (_, err) = parse_leakscope_str(&head.join("\n")).unwrap_err();
-        assert!(err.contains("summary"), "{err}");
-        // A guess line the summary's `recovered` does not account for.
         let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let n = lines.len();
         lines.insert(n - 1, "{\"kind\":\"guess\",\"byte_index\":2,\"value\":9}".into());
-        let (_, err) = parse_leakscope_str(&lines.join("\n")).unwrap_err();
+        let (line, err) = read_framed::<ParsedLeak>(&lines.join("\n")).unwrap_err();
+        assert_eq!(line, n + 1);
         assert!(err.contains("`guess` line"), "{err}");
-        // Unknown kind.
-        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        lines.insert(1, "{\"kind\": \"mystery\"}".into());
-        let (line, err) = parse_leakscope_str(&lines.join("\n")).unwrap_err();
-        assert_eq!(line, 2);
-        assert!(err.contains("unknown line kind `mystery`"), "{err}");
     }
 
     #[test]
     fn reports_cover_outcome_timeline_and_channel() {
-        let parsed = parse_leakscope_str(&report_to_jsonl(&labels(), &sample_report())).unwrap();
+        let parsed =
+            read_framed::<ParsedLeak>(&report_to_jsonl(&labels(), &sample_report())).unwrap();
         let text = render_leak_report(&parsed);
         assert!(text.contains("=== cpack_always leakscope ==="));
         assert!(text.contains("C-Pack on NVSRAMCache under always"));

@@ -4,9 +4,11 @@
 //! the power cycle it occurred in, then serialized as one *flat* JSON
 //! object — `{"t_us":…,"cycle":…,"kind":"ModeSwitch",…fields}` — so a
 //! JSONL stream greps cleanly and round-trips losslessly through
-//! [`Stamped::to_value`] / [`Stamped::from_value`].
+//! [`Stamped::to_value`] / [`Stamped::decode`].
 
 use serde_json::Value;
+
+use crate::jsonl;
 
 /// Kagura's register snapshot carried by [`Event::ModeSwitch`]:
 /// `(R_prev, R_mem, R_adjust, R_thres, R_evict)` at the switch.
@@ -344,29 +346,15 @@ impl Event {
         }
     }
 
-    /// Rebuilds an event from its `kind` and a flat field object.
-    /// Returns `None` for unknown kinds or missing/mistyped fields.
-    pub fn from_kind_fields(kind: &str, obj: &Value) -> Option<Event> {
-        Event::from_kind_fields_strict(kind, obj).ok()
-    }
-
-    /// Like [`Event::from_kind_fields`], but on malformed input the error
-    /// names the offending field (missing, mistyped, or out of range) so
-    /// strict stream parsers can point at the exact defect.
-    pub fn from_kind_fields_strict(kind: &str, obj: &Value) -> Result<Event, String> {
-        fn field<'a>(obj: &'a Value, k: &str) -> Result<&'a Value, String> {
-            obj.get(k).ok_or_else(|| format!("missing field `{k}`"))
-        }
-        let u = |k: &str| {
-            field(obj, k)?.as_u64().ok_or_else(|| format!("field `{k}` is not an unsigned integer"))
-        };
-        let f =
-            |k: &str| field(obj, k)?.as_f64().ok_or_else(|| format!("field `{k}` is not a number"));
-        let b = |k: &str| {
-            field(obj, k)?.as_bool().ok_or_else(|| format!("field `{k}` is not a boolean"))
-        };
-        let s =
-            |k: &str| field(obj, k)?.as_str().ok_or_else(|| format!("field `{k}` is not a string"));
+    /// Rebuilds an event from its `kind` and a flat field object, the
+    /// inverse of [`Event::kind`] and [`Event::fields`]. On malformed
+    /// input the error names the offending field (missing, mistyped, or
+    /// out of range) or the unknown kind.
+    pub fn decode(kind: &str, obj: &Value) -> Result<Event, String> {
+        let u = |k: &str| jsonl::u64(obj, k);
+        let f = |k: &str| jsonl::f64(obj, k);
+        let b = |k: &str| jsonl::bool(obj, k);
+        let s = |k: &str| jsonl::str(obj, k);
         Ok(match kind {
             "PowerFailure" => Event::PowerFailure { insts: u("insts")?, voltage: f("voltage")? },
             "Reboot" => Event::Reboot { charge_us: f("charge_us")?, voltage: f("voltage")? },
@@ -376,9 +364,7 @@ impl Event {
                 registers: Registers {
                     r_prev: u("r_prev")?,
                     r_mem: u("r_mem")?,
-                    r_adjust: field(obj, "r_adjust")?
-                        .as_i64()
-                        .ok_or_else(|| "field `r_adjust` is not an integer".to_string())?,
+                    r_adjust: jsonl::i64(obj, "r_adjust")?,
                     r_thres: u("r_thres")?,
                     r_evict: u("r_evict")?,
                 },
@@ -478,32 +464,14 @@ impl Stamped {
         Value::Object(members)
     }
 
-    /// Inverse of [`Stamped::to_value`]; `None` on malformed input.
-    pub fn from_value(v: &Value) -> Option<Stamped> {
-        Stamped::from_value_strict(v).ok()
-    }
-
-    /// Like [`Stamped::from_value`], but the error names the offending
-    /// field (stamp fields included), for strict stream parsers that
-    /// report defects instead of swallowing them.
-    pub fn from_value_strict(v: &Value) -> Result<Stamped, String> {
-        let kind = v
-            .get("kind")
-            .ok_or_else(|| "missing field `kind`".to_string())?
-            .as_str()
-            .ok_or_else(|| "field `kind` is not a string".to_string())?;
+    /// Inverse of [`Stamped::to_value`] for a record whose `kind` the
+    /// stream reader has already read; the error names the offending
+    /// field, stamp fields included.
+    pub fn decode(kind: &str, v: &Value) -> Result<Stamped, String> {
         Ok(Stamped {
-            t_us: v
-                .get("t_us")
-                .ok_or_else(|| "missing field `t_us`".to_string())?
-                .as_f64()
-                .ok_or_else(|| "field `t_us` is not a number".to_string())?,
-            cycle: v
-                .get("cycle")
-                .ok_or_else(|| "missing field `cycle`".to_string())?
-                .as_u64()
-                .ok_or_else(|| "field `cycle` is not an unsigned integer".to_string())?,
-            event: Event::from_kind_fields_strict(kind, v)?,
+            t_us: jsonl::f64(v, "t_us")?,
+            cycle: jsonl::u64(v, "cycle")?,
+            event: Event::decode(kind, v)?,
         })
     }
 }
@@ -511,6 +479,13 @@ impl Stamped {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One value through the strict stream reader.
+    fn read_back(v: &Value) -> Result<Stamped, String> {
+        let text = jsonl::to_string(std::slice::from_ref(v));
+        let mut events = jsonl::read_records(&text, Stamped::decode).map_err(|(_, e)| e)?;
+        Ok(events.remove(0))
+    }
 
     fn samples() -> Vec<Stamped> {
         vec![
@@ -593,7 +568,7 @@ mod tests {
         ];
         for (i, event) in all.into_iter().enumerate() {
             let s = Stamped { t_us: i as f64 + 0.125, cycle: i as u64, event };
-            let back = Stamped::from_value(&s.to_value()).expect("round trip");
+            let back = read_back(&s.to_value()).expect("round trip");
             assert_eq!(back, s);
         }
     }
@@ -618,31 +593,8 @@ mod tests {
 
     #[test]
     fn flight_record_mode_is_validated_on_parse() {
-        let mut v = Stamped {
-            t_us: 1.0,
-            cycle: 0,
-            event: Event::FlightRecord(FlightRecord {
-                insts: 0,
-                mem_ops: 0,
-                predicted_remaining: 0,
-                actual_remaining: 0,
-                mode: "CM",
-                late_compressions: 0,
-                wasted_fills: 0,
-                wasted_pj: 0.0,
-                checkpoint_bytes: 0,
-                harvested_pj: 0.0,
-                compress_pj: 0.0,
-                decompress_pj: 0.0,
-                cache_other_pj: 0.0,
-                memory_pj: 0.0,
-                checkpoint_restore_pj: 0.0,
-                other_pj: 0.0,
-                cap_leak_pj: 0.0,
-                delta_stored_pj: 0.0,
-            }),
-        }
-        .to_value();
+        let record = FlightRecord { mode: "CM", ..FlightRecord::default() };
+        let mut v = Stamped { t_us: 1.0, cycle: 0, event: Event::FlightRecord(record) }.to_value();
         if let Value::Object(members) = &mut v {
             for (k, val) in members.iter_mut() {
                 if k == "mode" {
@@ -650,35 +602,30 @@ mod tests {
                 }
             }
         }
-        assert!(Stamped::from_value(&v).is_none());
-    }
-
-    #[test]
-    fn malformed_values_are_rejected_not_panicked() {
-        assert!(Stamped::from_value(&Value::Null).is_none());
-        let missing = serde_json::json!({"t_us": 1.0, "cycle": 0, "kind": "Eviction"});
-        assert!(Stamped::from_value(&missing).is_none());
-        let unknown = serde_json::json!({"t_us": 1.0, "cycle": 0, "kind": "Nope"});
-        assert!(Stamped::from_value(&unknown).is_none());
+        let err = read_back(&v).unwrap_err();
+        assert!(err.contains("`mode`"), "{err}");
     }
 
     #[test]
     fn strict_parse_names_the_offending_field() {
+        let err = read_back(&Value::Null).unwrap_err();
+        assert!(err.contains("`kind`"), "{err}");
+
         let missing = serde_json::json!({"t_us": 1.0, "cycle": 0, "kind": "Eviction"});
-        let err = Stamped::from_value_strict(&missing).unwrap_err();
+        let err = read_back(&missing).unwrap_err();
         assert!(err.contains("`count`"), "{err}");
 
         let mistyped =
             serde_json::json!({"t_us": 1.0, "cycle": 0, "kind": "Eviction", "count": "two"});
-        let err = Stamped::from_value_strict(&mistyped).unwrap_err();
+        let err = read_back(&mistyped).unwrap_err();
         assert!(err.contains("`count`") && err.contains("not an unsigned integer"), "{err}");
 
         let no_stamp = serde_json::json!({"kind": "Checkpoint", "blocks": 4});
-        let err = Stamped::from_value_strict(&no_stamp).unwrap_err();
+        let err = read_back(&no_stamp).unwrap_err();
         assert!(err.contains("`t_us`"), "{err}");
 
         let unknown = serde_json::json!({"t_us": 1.0, "cycle": 0, "kind": "Nope"});
-        let err = Stamped::from_value_strict(&unknown).unwrap_err();
+        let err = read_back(&unknown).unwrap_err();
         assert!(err.contains("unknown event kind"), "{err}");
     }
 }

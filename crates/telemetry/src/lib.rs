@@ -20,9 +20,13 @@
 //!   branch per event site and performs **zero** allocations, calls or
 //!   writes — experiment output is byte-identical with telemetry off.
 //!   [`NullSink`] is the trait-level no-op for generic contexts;
-//!   [`RingSink`] keeps the last N events in memory; [`JsonlSink`]
-//!   streams one compact JSON object per line; [`ChromeTraceSink`]
-//!   builds a Chrome trace-event file loadable in Perfetto.
+//!   [`VecSink`] keeps every event in memory; [`JsonlSink`] streams one
+//!   compact JSON object per line; [`ChromeTraceSink`] builds a Chrome
+//!   trace-event file loadable in Perfetto.
+//! * [`jsonl`] — the one strict JSONL codec every observer stream
+//!   shares: dotted-path field accessors, the line writer, and the
+//!   record and framed (header … summary) readers with `line: field`
+//!   diagnostics.
 //! * [`MetricsRegistry`] — named counters, gauges and fixed-bucket
 //!   histograms, snapshotted at every power-cycle boundary.
 //! * [`Reservoir`] — a seeded bottom-k sample sketch whose shard merges
@@ -47,6 +51,7 @@
 
 pub mod event;
 pub mod fixed;
+pub mod jsonl;
 pub mod leak;
 pub mod metrics;
 pub mod sampler;
@@ -58,7 +63,7 @@ pub use fixed::FixedSum;
 pub use leak::{channel_capacity_bits, mutual_information_bits, AttackStats, LatencyHistogram};
 pub use metrics::{Counter, Gauge, Histogram, HistogramId, MetricsRegistry};
 pub use sampler::{quantile_of_sorted, Reservoir};
-pub use sink::{ChromeTraceSink, JsonlSink, NullSink, RingSink, Sink, VecSink};
+pub use sink::{ChromeTraceSink, JsonlSink, NullSink, Sink, VecSink};
 
 /// A sink plus the metrics registry fed alongside it: what an
 /// instrumented simulator borrows for the duration of one run.

@@ -6,6 +6,7 @@
 //! index — no hashing on the hot path.
 
 use crate::fixed::FixedSum;
+use crate::jsonl;
 use serde_json::Value;
 
 /// Handle to a monotonically increasing counter.
@@ -144,24 +145,9 @@ impl Histogram {
     /// Returns `Err` naming the offending field when the value is
     /// missing, mistyped, or the counts length disagrees with bounds.
     pub fn from_exact_json(v: &Value) -> Result<Self, String> {
-        let bits = |path: &str| -> Result<f64, String> {
-            v.get(path)
-                .and_then(Value::as_u64)
-                .map(f64::from_bits)
-                .ok_or_else(|| format!("histogram field `{path}` is not a u64"))
-        };
-        let u64s = |path: &str| -> Result<Vec<u64>, String> {
-            v.get(path)
-                .and_then(Value::as_array)
-                .ok_or_else(|| format!("histogram field `{path}` is not an array"))?
-                .iter()
-                .map(|x| {
-                    x.as_u64().ok_or_else(|| format!("histogram field `{path}` has a non-u64"))
-                })
-                .collect()
-        };
-        let bounds: Vec<f64> = u64s("bounds_bits")?.into_iter().map(f64::from_bits).collect();
-        let counts = u64s("counts")?;
+        let bounds: Vec<f64> =
+            jsonl::u64s(v, "bounds_bits")?.into_iter().map(f64::from_bits).collect();
+        let counts = jsonl::u64s(v, "counts")?;
         if counts.len() != bounds.len() + 1 {
             return Err(format!(
                 "histogram counts length {} does not match {} bounds + overflow",
@@ -169,16 +155,13 @@ impl Histogram {
                 bounds.len()
             ));
         }
-        let total = v
-            .get("total")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| "histogram field `total` is not a u64".to_string())?;
-        let sum = FixedSum::from_decimal(
-            v.get("sum_fixed")
-                .and_then(Value::as_str)
-                .ok_or_else(|| "histogram field `sum_fixed` is not a string".to_string())?,
-        )?;
-        Ok(Histogram { bounds, counts, total, sum, max: bits("max_bits")? })
+        Ok(Histogram {
+            bounds,
+            counts,
+            total: jsonl::u64(v, "total")?,
+            sum: FixedSum::from_decimal(jsonl::str(v, "sum_fixed")?)?,
+            max: f64::from_bits(jsonl::u64(v, "max_bits")?),
+        })
     }
 
     /// `(upper_bound, count)` rows; the final row uses `f64::INFINITY`.

@@ -21,6 +21,7 @@
 //! [`Histogram`]: crate::metrics::Histogram
 
 use crate::fixed::FixedSum;
+use crate::jsonl;
 use serde_json::Value;
 
 /// splitmix64 finalizer: a cheap, well-distributed 64-bit mixer.
@@ -200,35 +201,15 @@ impl Reservoir {
     /// mistyped value, and rejects entry lists that are unsorted,
     /// duplicated or over capacity (a corrupt journal record).
     pub fn from_exact_json(v: &Value) -> Result<Self, String> {
-        let u = |path: &str| -> Result<u64, String> {
-            v.get(path)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("reservoir field `{path}` is not a u64"))
-        };
+        let u = |path: &str| jsonl::u64(v, path);
         let capacity = u("capacity")? as usize;
         if capacity == 0 {
             return Err("reservoir field `capacity` must be non-zero".into());
         }
-        let raw = v
-            .get("entries")
-            .and_then(Value::as_array)
-            .ok_or_else(|| "reservoir field `entries` is not an array".to_string())?;
-        let mut entries = Vec::with_capacity(raw.len());
-        for (i, e) in raw.iter().enumerate() {
-            let triple = e.as_array().filter(|t| t.len() == 3).ok_or_else(|| {
-                format!("reservoir field `entries[{i}]` is not a [priority, key, bits] triple")
-            })?;
-            let part = |j: usize| -> Result<u64, String> {
-                triple[j]
-                    .as_u64()
-                    .ok_or_else(|| format!("reservoir field `entries[{i}][{j}]` is not a u64"))
-            };
-            entries.push(Entry {
-                priority: part(0)?,
-                key: part(1)?,
-                value: f64::from_bits(part(2)?),
-            });
-        }
+        let entries = jsonl::items(v, "entries", |e| match jsonl::u64s(e, "")?[..] {
+            [priority, key, bits] => Ok(Entry { priority, key, value: f64::from_bits(bits) }),
+            _ => Err("not a [priority, key, bits] triple".into()),
+        })?;
         if entries.len() > capacity {
             return Err(format!(
                 "reservoir holds {} entries over capacity {capacity}",
@@ -243,11 +224,7 @@ impl Reservoir {
             capacity,
             entries,
             seen: u("seen")?,
-            sum: FixedSum::from_decimal(
-                v.get("sum_fixed")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| "reservoir field `sum_fixed` is not a string".to_string())?,
-            )?,
+            sum: FixedSum::from_decimal(jsonl::str(v, "sum_fixed")?)?,
             min: f64::from_bits(u("min_bits")?),
             max: f64::from_bits(u("max_bits")?),
         })

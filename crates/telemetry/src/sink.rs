@@ -2,10 +2,9 @@
 //!
 //! A [`Sink`] is deliberately tiny — `record` plus an optional `flush` —
 //! so the simulator can hold `&mut dyn Sink` without caring whether
-//! events are dropped, ring-buffered, streamed to disk as JSONL, or
+//! events are dropped, kept in memory, streamed to disk as JSONL, or
 //! accumulated into a Chrome trace.
 
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -13,6 +12,7 @@ use std::path::Path;
 use serde_json::Value;
 
 use crate::event::{Event, Stamped};
+use crate::jsonl;
 
 /// Consumer of stamped events.
 ///
@@ -79,56 +79,6 @@ impl Sink for VecSink {
     }
 }
 
-/// Keeps only the most recent `capacity` events — bounded memory for
-/// long runs where only the tail (e.g. the cycles before a failure of
-/// interest) matters.
-#[derive(Debug, Clone)]
-pub struct RingSink {
-    buf: VecDeque<Stamped>,
-    capacity: usize,
-    /// Total events ever offered, including overwritten ones.
-    seen: u64,
-}
-
-impl RingSink {
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        RingSink { buf: VecDeque::with_capacity(capacity), capacity, seen: 0 }
-    }
-
-    /// The retained tail, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &Stamped> {
-        self.buf.iter()
-    }
-
-    /// Retained event count (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Total events offered over the sink's lifetime.
-    pub fn total_seen(&self) -> u64 {
-        self.seen
-    }
-}
-
-impl Sink for RingSink {
-    fn record(&mut self, ev: &Stamped) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(ev.clone());
-        self.seen += 1;
-    }
-}
-
 /// Streams one compact JSON object per event, newline-delimited.
 ///
 /// Write errors are held (not panicked) and surfaced by
@@ -168,9 +118,8 @@ impl<W: Write> Sink for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
-        let line = serde_json::to_string(&ev.to_value()).expect("event serializes");
-        if let Err(e) = self.out.write_all(line.as_bytes()).and_then(|()| self.out.write_all(b"\n"))
-        {
+        let line = jsonl::to_string(std::slice::from_ref(&ev.to_value()));
+        if let Err(e) = self.out.write_all(line.as_bytes()) {
             self.error = Some(e);
         }
     }
@@ -180,16 +129,6 @@ impl<W: Write> Sink for JsonlSink<W> {
             self.error.get_or_insert(e);
         }
     }
-}
-
-/// Parses a JSONL stream produced by [`JsonlSink`] back into events.
-/// Lines that fail to parse are skipped.
-pub fn parse_jsonl(text: &str) -> Vec<Stamped> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| serde_json::from_str(l).ok())
-        .filter_map(|v| Stamped::from_value(&v))
-        .collect()
 }
 
 /// Builds a Chrome trace-event file (the JSON object format with a
@@ -228,24 +167,25 @@ impl ChromeTraceSink {
 
     /// Recovers the stamped events embedded in a trace produced by this
     /// sink (instant records only; synthesized power-cycle slices are
-    /// skipped).
-    pub fn parse_events(trace: &Value) -> Vec<Stamped> {
-        let Some(records) = trace.get("traceEvents").and_then(Value::as_array) else {
-            return Vec::new();
+    /// skipped), decoding each through [`Event::decode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the offending record and field when an
+    /// instant record does not decode.
+    pub fn parse_events(trace: &Value) -> Result<Vec<Stamped>, String> {
+        let instant = |record: &Value| -> Result<Option<Stamped>, String> {
+            if jsonl::str(record, "ph")? != "i" {
+                return Ok(None);
+            }
+            let kind = jsonl::str(record, "name")?;
+            Ok(Some(Stamped {
+                t_us: jsonl::f64(record, "ts")?,
+                cycle: jsonl::u64(record, "args.cycle")?,
+                event: jsonl::nested(record, "args", |args| Event::decode(kind, args))?,
+            }))
         };
-        records
-            .iter()
-            .filter(|r| r.get("ph").and_then(Value::as_str) == Some("i"))
-            .filter_map(|r| {
-                let args = r.get("args")?;
-                let kind = r.get("name")?.as_str()?;
-                Some(Stamped {
-                    t_us: r.get("ts")?.as_f64()?,
-                    cycle: args.get("cycle")?.as_u64()?,
-                    event: Event::from_kind_fields(kind, args)?,
-                })
-            })
-            .collect()
+        Ok(jsonl::items(trace, "traceEvents", instant)?.into_iter().flatten().collect())
     }
 }
 
@@ -292,24 +232,6 @@ mod tests {
         let mut s = NullSink;
         assert!(!s.enabled());
         s.record(&ev(1.0, 0, Event::Checkpoint { blocks: 3 }));
-    }
-
-    #[test]
-    fn ring_sink_keeps_only_the_tail() {
-        let mut s = RingSink::new(3);
-        for i in 0..10u64 {
-            s.record(&ev(i as f64, 0, Event::Checkpoint { blocks: i as u32 }));
-        }
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.total_seen(), 10);
-        let blocks: Vec<u32> = s
-            .events()
-            .map(|e| match e.event {
-                Event::Checkpoint { blocks } => blocks,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(blocks, vec![7, 8, 9]);
     }
 
     #[test]

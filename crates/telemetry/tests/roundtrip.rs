@@ -2,8 +2,7 @@
 //! transports — a known event sequence written through either sink
 //! parses back to exactly the original `Stamped` values.
 
-use ehs_telemetry::sink::parse_jsonl;
-use ehs_telemetry::{ChromeTraceSink, Event, JsonlSink, Registers, Sink, Stamped};
+use ehs_telemetry::{jsonl, ChromeTraceSink, Event, JsonlSink, Registers, Sink, Stamped};
 
 /// Two full power cycles exercising every event variant.
 fn known_sequence() -> Vec<Stamped> {
@@ -63,7 +62,7 @@ fn jsonl_sink_round_trips_a_known_sequence() {
     assert!(sink.error().is_none());
     let text = String::from_utf8(sink.into_inner()).unwrap();
     assert_eq!(text.lines().count(), events.len());
-    assert_eq!(parse_jsonl(&text), events);
+    assert_eq!(jsonl::read_records(&text, Stamped::decode).unwrap(), events);
 }
 
 #[test]
@@ -74,7 +73,7 @@ fn chrome_trace_sink_round_trips_a_known_sequence() {
         sink.record(ev);
     }
     let trace = sink.to_json();
-    assert_eq!(ChromeTraceSink::parse_events(&trace), events);
+    assert_eq!(ChromeTraceSink::parse_events(&trace).unwrap(), events);
 
     // The synthesized timeline shows one slice per completed power cycle.
     let slices = trace
@@ -96,5 +95,5 @@ fn chrome_trace_survives_a_serialize_parse_cycle() {
     }
     let text = serde_json::to_string_pretty(&sink.to_json()).unwrap();
     let reparsed = serde_json::from_str(&text).unwrap();
-    assert_eq!(ChromeTraceSink::parse_events(&reparsed), events);
+    assert_eq!(ChromeTraceSink::parse_events(&reparsed).unwrap(), events);
 }

@@ -113,8 +113,11 @@ impl App {
         App::ALL.into_iter().find(|a| a.name() == name)
     }
 
-    /// Builds the program. `scale` multiplies every trip count (1.0 ≈
-    /// 300–600 k dynamic instructions).
+    /// Builds the program. `scale` multiplies the outer repetition count
+    /// only (12–20 repetitions at 1.0 ≈ 300–600 k dynamic instructions),
+    /// rounded and at least 1: one repetition's phases are the same at
+    /// every scale, and below about 0.075–0.125 every scale builds the
+    /// same one-repetition program.
     ///
     /// # Panics
     ///

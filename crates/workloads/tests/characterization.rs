@@ -68,6 +68,18 @@ fn memory_op_density_is_realistic() {
     }
 }
 
+#[test]
+fn scale_multiplies_only_the_repetition_count() {
+    // Scale-sensitive tests must pick scales that build different
+    // programs: 0.15 gives every app at least two repetitions, while
+    // 0.05 rounds every app down to the one-repetition floor.
+    for app in App::ALL {
+        let (two, one) = (app.build(0.15), app.build(0.05));
+        assert!(two.len() >= 2 * two.rep_len(), "{app}: 0.15 builds one repetition");
+        assert_eq!(one.len(), one.rep_len(), "{app}: 0.05 builds more than one repetition");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
