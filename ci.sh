@@ -12,6 +12,9 @@ cargo fmt --all --check
 echo "== cargo clippy (deny warnings, tests and benches included) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc (deny warnings: broken or private intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
+
 echo "== cargo test =="
 cargo test -q --workspace --offline
 

@@ -302,7 +302,7 @@ impl CompressedCache {
     }
 
     /// Fused probe + commit: if a read of `addr` would be a shallow
-    /// uncompressed hit (see [`CompressedCache::find_shallow`]), applies
+    /// uncompressed hit (see the private `find_shallow`), applies
     /// one read hit exactly as [`CompressedCache::read`] would — LRU
     /// stamp plus the hit counter — and returns `true`; otherwise changes
     /// nothing.

@@ -78,8 +78,8 @@ impl Compressor for Fpc {
         CompressedBlock::new(Algorithm::Fpc, data.len() as u32, payload, bits)
     }
 
-    /// Allocation-free size query: the widths of the [`tokens`]
-    /// `compress` writes.
+    /// Allocation-free size query: the widths of the tokens `compress`
+    /// writes, from the same private `tokens` iterator.
     fn compressed_size_bits(&self, data: &[u8]) -> u32 {
         validate_block(data);
         tokens(data).map(|(_, width)| width).sum()

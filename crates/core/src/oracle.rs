@@ -53,6 +53,13 @@ impl OracleTrace {
         self.switch_points.get(cycle).copied()
     }
 
+    /// `true` when no recorded fill proved useful, so every switch point
+    /// is 0: a replay over this trace never compresses in a recorded
+    /// cycle.
+    pub fn never_compresses(&self) -> bool {
+        self.switch_points.iter().all(|&p| p == 0)
+    }
+
     /// Fraction of recorded compressing fills that proved useful.
     pub fn useful_fraction(&self) -> f64 {
         if self.fills == 0 {
@@ -202,7 +209,12 @@ impl<G: CompressionGovernor> OracleReplayer<G> {
         &self.inner
     }
 
-    /// Current power-cycle index.
+    /// The recorded trace the replay follows.
+    pub fn trace(&self) -> &OracleTrace {
+        &self.trace
+    }
+
+    /// Current power-cycle index: the number of reboots so far.
     pub fn cycle(&self) -> usize {
         self.cycle
     }
@@ -288,6 +300,7 @@ mod tests {
 
         let trace = rec.into_trace();
         assert_eq!(trace.len(), 3); // two finished + one empty ongoing
+        assert!(!trace.never_compresses(), "cycle 0 has a useful fill");
         assert_eq!(trace.switch_point(0), Some(6));
         assert_eq!(trace.switch_point(1), Some(0));
         assert!((trace.useful_fraction() - 1.0 / 3.0).abs() < 1e-12);
@@ -351,6 +364,20 @@ mod tests {
         rec.mark_useful(f);
         let mut rep = OracleReplayer::new(NeverCompress, rec.into_trace());
         assert_eq!(rep.fill_mode(), FillMode::Bypass);
+    }
+
+    #[test]
+    fn a_trace_without_useful_fills_never_compresses() {
+        let mut rec = OracleRecorder::new(AlwaysCompress);
+        let _ = rec.record_fill();
+        rec.on_power_failure();
+        rec.on_reboot();
+        let _ = rec.record_fill();
+        let trace = rec.into_trace();
+        assert_eq!(trace.len(), 2);
+        assert!(trace.never_compresses(), "no fill was marked useful");
+        let rep = OracleReplayer::new(AlwaysCompress, trace.clone());
+        assert_eq!(rep.trace(), &trace);
     }
 
     #[test]

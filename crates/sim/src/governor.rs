@@ -113,6 +113,51 @@ impl Governor {
         matches!(kagura.config().trigger, TriggerKind::Voltage { .. })
     }
 
+    /// `true` when this is an oracle replayer that runs as
+    /// [`Governor::none`] through every completed run of at most
+    /// `power_cycles` power cycles, so such a run under the replayer is
+    /// the no-compression baseline's run, bit for bit.
+    ///
+    /// That needs three things:
+    ///
+    /// * The recorded trace never compresses (every switch point is 0),
+    ///   so within a recorded cycle the replayer bypasses every fill and
+    ///   reports compression disabled, as `NeverCompress` does. Its other
+    ///   callbacks change only its inner governor's state, which nothing
+    ///   reads: the replayer reports no Kagura state and logs no events.
+    /// * The inner governor has no voltage trigger, which would add the
+    ///   trigger comparator's standby draw to the voltage monitor.
+    /// * The run never reaches a cycle past the trace, where the replayer
+    ///   falls back to its inner governor. Its cycle index is the number
+    ///   of `on_reboot` calls so far, so a run that reboots `R` times
+    ///   reads switch points `0..=R`, all recorded when `R < trace.len()`.
+    ///   The simulator's cycle count (`SimStats::power_cycle_count`) is
+    ///   `cycles_done`: each power failure closes one cycle, and `finish`
+    ///   adds the final cycle if it executed an instruction. In a
+    ///   completed run of `C` cycles, every reboot follows a failure, and
+    ///   every failure is followed by a reboot unless it came after the
+    ///   last instruction, since the loop reboots only while instructions
+    ///   remain and completing means it never gave up. A reboot is always
+    ///   followed by at least one executed instruction. So either the
+    ///   last failure rebooted into a final non-empty cycle (`C` =
+    ///   failures + 1 = `R` + 1), or it came after the last instruction
+    ///   and left an empty final cycle that is not counted (`C` =
+    ///   failures = `R` + 1). Hence `R = C − 1`, and `C ≤ trace.len()`
+    ///   is the bound. A recording always holds at least one cycle, so a
+    ///   run of no cycles passes too.
+    ///
+    /// The caller checks that the run completed.
+    pub fn replays_baseline(&self, power_cycles: u64) -> bool {
+        let trace = match self {
+            Governor::ReplayAcc(r) => r.trace(),
+            Governor::ReplayKagura(r) => r.trace(),
+            _ => return false,
+        };
+        trace.never_compresses()
+            && !self.uses_voltage_trigger()
+            && power_cycles <= trace.len() as u64
+    }
+
     /// The Kagura controller whose state the run reports
     /// (`SimStats::kagura_state`, `rm_bypassed_fills`): the deployed one,
     /// or the one an oracle recording pass runs unchanged. `None` for the
@@ -289,6 +334,48 @@ mod tests {
             );
         }
         assert!(!Governor::record_acc().uses_voltage_trigger());
+    }
+
+    /// A recorded trace of `cycles` power cycles, with one useful fill in
+    /// the first when `useful` is set.
+    fn recorded(cycles: usize, useful: bool) -> OracleTrace {
+        let mut rec = Governor::record_acc();
+        let id = rec.record_fill().expect("recorder records");
+        if useful {
+            rec.mark_useful(id);
+        }
+        for _ in 1..cycles {
+            rec.on_power_failure();
+            rec.on_reboot();
+            let _ = rec.record_fill();
+        }
+        let trace = rec.into_oracle_trace().expect("recorder yields a trace");
+        assert_eq!(trace.len(), cycles);
+        trace
+    }
+
+    #[test]
+    fn a_replay_is_the_baseline_only_within_its_recorded_cycles() {
+        let trace = recorded(3, false);
+        for gov in [
+            Governor::replay_acc(trace.clone()),
+            Governor::replay_kagura(Default::default(), trace),
+        ] {
+            assert!(gov.replays_baseline(0));
+            assert!(gov.replays_baseline(3), "a trace of 3 cycles covers 3");
+            assert!(!gov.replays_baseline(4), "a 4th cycle falls back to the inner governor");
+        }
+    }
+
+    #[test]
+    fn a_replay_that_compresses_or_needs_a_trigger_is_not_the_baseline() {
+        assert!(!Governor::replay_acc(recorded(3, true)).replays_baseline(1));
+        let voltage =
+            KaguraConfig { trigger: TriggerKind::Voltage { fraction: 0.2 }, ..Default::default() };
+        assert!(!Governor::replay_kagura(voltage, recorded(3, false)).replays_baseline(1));
+        for other in [Governor::none(), Governor::acc(), Governor::record_acc()] {
+            assert!(!other.replays_baseline(1), "{} is not a replayer", other.name());
+        }
     }
 
     #[test]

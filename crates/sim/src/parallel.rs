@@ -64,25 +64,49 @@
 //!
 //! # Oracle twins
 //!
-//! An ideal job ([`GovernorSpec::is_ideal`]) first runs a recording
-//! pass, and that pass is the plain run of its *twin* spec
+//! An ideal job ([`GovernorSpec::is_ideal`]) runs two passes: a
+//! recording pass, then a replay that compresses only what the recording
+//! found useful. The recording pass is the plain run of its *twin* spec
 //! ([`GovernorSpec::recording_twin`]: ACC for ideal ACC, ACC+Kagura for
-//! ideal ACC+Kagura), bit for bit. So when a batch holds both an ideal
-//! job and its twin — the same app and scale, and a config equal in every
-//! field but `governor` — [`run_batch`] runs them as one pool item: the
-//! recording pass's stats are the twin's result, and its oracle trace
-//! feeds the replay that gives the ideal result. Each ideal job, in
-//! submission order, takes the first twin not yet taken; every other job
-//! runs alone. Pairing works on the distinct jobs, so a repeated ideal
-//! job still shares its twin's pass. Results stay in submission order
-//! and equal those of running each job alone, failures included: a pass
-//! that panics or times out fails its cells as it would alone, and a
-//! panicking recording pass fails the cells of both jobs. The pool
-//! counts cells, not items: one `jobs_ok` per successful cell, and one
-//! `sim` span and one `job_latency_ms` sample per pass.
+//! ideal ACC+Kagura), bit for bit. So [`run_batch`] runs a batch's
+//! distinct jobs in two waves:
 //!
-//! [`GovernorSpec::is_ideal`]: crate::config::GovernorSpec::is_ideal
-//! [`GovernorSpec::recording_twin`]: crate::config::GovernorSpec::recording_twin
+//! * **Wave 1** runs every other job alone, and every ideal job's
+//!   recording pass. When the batch holds the ideal job's twin — the
+//!   same app and scale, and a config equal in every field but
+//!   `governor` — the recording pass's stats are the twin's result, and
+//!   the twin runs no pass of its own. Each ideal job, in submission
+//!   order, takes the first twin not yet taken. The recording pass
+//!   leaves its ideal job a replay [`Governor`].
+//! * **Wave 2** runs each replay not served in between (below). It
+//!   rebuilds the program and trace rather than holding them across the
+//!   waves, which would raise the batch's peak memory.
+//!
+//! Pairing works on the distinct jobs, so a repeated ideal job still
+//! shares its twin's pass. Results stay in submission order and equal
+//! those of running each job alone, failures included: a pass that
+//! panics or times out fails its cells as it would alone, and a
+//! panicking recording pass fails the cells of both jobs. A Fig 13 app
+//! (baseline, ACC, ACC+Kagura and both ideal cells) thus runs 5 passes,
+//! not 7, and an ideal job without a twin runs 2.
+//!
+//! # Baseline replays
+//!
+//! A replay whose recording found no useful compression
+//! ([`OracleTrace::never_compresses`]) bypasses every fill, exactly as
+//! the no-compression baseline does, until it outlives the recorded
+//! cycles. Between the waves, an ideal job's cell therefore takes the
+//! result of the batch's *baseline* cell — the job equal to it but for a
+//! [`GovernorSpec::NoCompression`] governor — instead of replaying, when
+//! that baseline completed with no failure and the replay governor
+//! provably repeats its run ([`Governor::replays_baseline`]: no useful
+//! fill, no voltage trigger, and no more power cycles than the trace
+//! records). A served cell counts one `jobs_ok` but records no `sim`
+//! span and no `job_latency_ms` sample, since no pass ran. On the 7 Fig
+//! 13 apps whose oracle finds nothing to compress, both ideal cells are
+//! served, and the app runs 3 passes.
+//!
+//! [`OracleTrace::never_compresses`]: kagura_core::OracleTrace::never_compresses
 
 use std::collections::HashMap;
 use std::fmt;
@@ -94,7 +118,8 @@ use std::time::Instant;
 use ehs_telemetry::{spans, Event, MetricsRegistry, Stamped};
 use ehs_workloads::App;
 
-use crate::config::SimConfig;
+use crate::config::{GovernorSpec, SimConfig};
+use crate::governor::Governor;
 use crate::machine::Simulator;
 use crate::runner::{default_trace, run_app};
 use crate::stats::SimStats;
@@ -297,15 +322,16 @@ impl SimJob {
         format!("{}:{}", self.app, self.cfg.governor.label())
     }
 
-    /// `true` when this job's plain run is the recording pass of the
-    /// ideal job `ideal`: the same app and scale, and a config equal to
-    /// `ideal`'s in every field but the governor, which is `ideal`'s
-    /// [`crate::config::GovernorSpec::recording_twin`].
-    fn is_twin_of(&self, ideal: &SimJob) -> bool {
-        ideal.cfg.governor.recording_twin() == Some(self.cfg.governor)
+    /// `true` when this job is `ideal` run under `governor`: the same app
+    /// and scale, and a config equal to `ideal`'s in every field but the
+    /// governor, which is `governor`. Under `ideal`'s
+    /// [`GovernorSpec::recording_twin`] this job is its twin; under
+    /// [`GovernorSpec::NoCompression`], its baseline.
+    fn runs_as(&self, ideal: &SimJob, governor: GovernorSpec) -> bool {
+        self.cfg.governor == governor
             && self.app == ideal.app
             && self.scale == ideal.scale
-            && self.cfg == SimConfig { governor: self.cfg.governor, ..ideal.cfg.clone() }
+            && self.cfg == SimConfig { governor, ..ideal.cfg.clone() }
     }
 
     /// Runs the job alone, with both failure modes contained.
@@ -359,56 +385,104 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("<non-string panic payload>")
 }
 
-/// One pool item of a batch: a job with its submission index, and the
-/// ideal job, if any, whose recording pass is that job's run (see the
-/// module docs).
-struct Item {
-    job: (usize, SimJob),
-    ideal: Option<(usize, SimJob)>,
+/// A wave-1 pool item of a batch's distinct jobs (see the module docs):
+/// a job run alone, or an ideal job's recording pass, which is also the
+/// run of its twin, given by cell index and label, when the batch holds
+/// one.
+enum Item {
+    Lone(usize, SimJob),
+    Recording { ideal: (usize, SimJob), twin: Option<(usize, String)> },
 }
+
+/// An ideal job whose recording pass ran, with the replay governor that
+/// pass left for wave 2.
+struct Replay {
+    index: usize,
+    job: SimJob,
+    gov: Governor,
+}
+
+/// What wave 1 gives for one item: its served cells' results, and the
+/// replay an ideal job still needs, if any.
+type Recorded = (Vec<(usize, Result<SimStats, JobFailure>)>, Option<Replay>);
 
 impl Item {
-    /// The submission indices of the item's cells, in the order
-    /// [`Item::run`] returns their results.
+    /// The submission indices of the item's cells: its job's, or a
+    /// recording's twin's then its ideal job's.
     fn cells(&self) -> Vec<usize> {
-        std::iter::once(self.job.0).chain(self.ideal.as_ref().map(|ideal| ideal.0)).collect()
+        match self {
+            Item::Lone(i, _) => vec![*i],
+            Item::Recording { ideal, twin } => {
+                twin.iter().map(|twin| twin.0).chain(std::iter::once(ideal.0)).collect()
+            }
+        }
     }
 
-    fn run(self) -> Vec<Result<SimStats, JobFailure>> {
-        let (twin, ideal) = match self.ideal {
-            None => return vec![self.job.1.run_alone()],
-            Some((_, ideal)) => (self.job.1, ideal),
+    fn run(self) -> Recorded {
+        let ((index, job), twin) = match self {
+            Item::Lone(i, job) => return (vec![(i, job.run_alone())], None),
+            Item::Recording { ideal, twin } => (ideal, twin),
         };
-        let (twin_label, ideal_label) = (twin.label(), ideal.label());
-        let mut replay = None;
-        let recorded = pass(&twin_label, || {
-            let program = ideal.app.build(ideal.scale);
-            let trace = default_trace(&ideal.cfg);
-            let (stats, gov) = Simulator::record_oracle(&ideal.cfg, &program, &trace);
-            replay = Some((program, trace, gov));
+        let label = twin.as_ref().map_or_else(|| job.label(), |(_, label)| label.clone());
+        let mut gov = None;
+        let recorded = pass(&label, || {
+            let program = job.app.build(job.scale);
+            let trace = default_trace(&job.cfg);
+            let (stats, replay) = Simulator::record_oracle(&job.cfg, &program, &trace);
+            gov = Some(replay);
             stats
         });
-        let replayed = match replay {
-            Some((program, trace, gov)) => pass(&ideal_label, || {
-                Simulator::with_governor(ideal.cfg, &program, &trace, gov).run()
-            }),
+        let mut cells = Vec::new();
+        let replay = match gov {
+            Some(gov) => Some(Replay { index, job, gov }),
             // Only a panic leaves no replay governor, and alone the ideal
             // job would have died in the same recording pass.
-            None => recorded.clone(),
+            None => {
+                cells.push((index, judge(&job.label(), recorded.clone())));
+                None
+            }
         };
-        vec![judge(&twin_label, recorded), judge(&ideal_label, replayed)]
+        if let Some((t, label)) = twin {
+            cells.push((t, judge(&label, recorded)));
+        }
+        (cells, replay)
     }
 }
 
-/// Groups a batch into pool items, ordered by each item's first cell.
-/// Each ideal job, in submission order, pairs with the first twin
-/// ([`SimJob::is_twin_of`]) that no earlier ideal job took.
+impl Replay {
+    /// Wave 2: rebuilds the job's program and trace and replays them.
+    fn run(self) -> Result<SimStats, JobFailure> {
+        let label = self.job.label();
+        judge(
+            &label,
+            pass(&label, || {
+                let program = self.job.app.build(self.job.scale);
+                let trace = default_trace(&self.job.cfg);
+                Simulator::with_governor(self.job.cfg, &program, &trace, self.gov).run()
+            }),
+        )
+    }
+
+    /// `true` when `baseline`, the result of the batch's baseline cell for
+    /// this replay's job, is the replay's result: the baseline completed
+    /// with no failure, in a run the replay governor provably repeats
+    /// ([`Governor::replays_baseline`]).
+    fn is_served_by(&self, baseline: &Result<SimStats, JobFailure>) -> bool {
+        matches!(baseline, Ok(stats) if stats.completed
+            && self.gov.replays_baseline(stats.power_cycle_count))
+    }
+}
+
+/// Groups a batch's distinct jobs into wave-1 items, ordered by each
+/// item's first cell. Each ideal job, in submission order, pairs with the
+/// first twin (`SimJob::runs_as` its twin spec) that no earlier ideal job
+/// took.
 fn pool_items(jobs: Vec<SimJob>) -> Vec<Item> {
     let n = jobs.len();
     let mut partner: Vec<Option<usize>> = vec![None; n];
     for i in 0..n {
-        if jobs[i].cfg.governor.is_ideal() {
-            let twin = (0..n).find(|&j| partner[j].is_none() && jobs[j].is_twin_of(&jobs[i]));
+        if let Some(spec) = jobs[i].cfg.governor.recording_twin() {
+            let twin = (0..n).find(|&j| partner[j].is_none() && jobs[j].runs_as(&jobs[i], spec));
             if let Some(j) = twin {
                 partner[i] = Some(j);
                 partner[j] = Some(i);
@@ -420,12 +494,12 @@ fn pool_items(jobs: Vec<SimJob>) -> Vec<Item> {
     for i in 0..n {
         let Some(job) = slots[i].take() else { continue };
         let other = partner[i].map(|j| (j, slots[j].take().expect("a job pairs at most once")));
-        items.push(match other {
-            Some(ideal) if !job.cfg.governor.is_ideal() => {
-                Item { job: (i, job), ideal: Some(ideal) }
+        items.push(match (job.cfg.governor.is_ideal(), other) {
+            (false, Some(ideal)) => Item::Recording { ideal, twin: Some((i, job.label())) },
+            (true, twin) => {
+                Item::Recording { ideal: (i, job), twin: twin.map(|(t, twin)| (t, twin.label())) }
             }
-            Some(twin) => Item { job: twin, ideal: Some((i, job)) },
-            None => Item { job: (i, job), ideal: None },
+            (false, None) => Item::Lone(i, job),
         });
     }
     items
@@ -483,8 +557,9 @@ fn distinct_jobs(jobs: Vec<SimJob>) -> (Vec<SimJob>, Vec<Vec<usize>>) {
 ///
 /// `results[i]` always corresponds to `jobs[i]`, regardless of job count
 /// or completion order, and equals [`run_job`]`(jobs[i])`: repeated jobs
-/// that share one pass, and ideal jobs that share their recording pass
-/// with a twin (see the module docs), included. A panicking, hanging
+/// that share one pass, ideal jobs that share their recording pass with
+/// a twin, and ideal jobs served by their baseline cell (see the module
+/// docs) included. A panicking, hanging
 /// (budget-cancelled) or worker-killed job degrades to `Err(JobFailure)`
 /// in its slot and in those of the jobs equal to it; the rest of the
 /// batch completes untouched.
@@ -505,18 +580,32 @@ pub fn run_batch(jobs: Vec<SimJob>) -> Vec<Result<SimStats, JobFailure>> {
     results
 }
 
-/// Runs distinct jobs on the pool, each ideal job sharing its recording
-/// pass with its twin if the batch holds one; results in job order.
+/// For each ideal job among distinct `jobs`, the index of its baseline
+/// job (`SimJob::runs_as` [`GovernorSpec::NoCompression`]), if any.
+fn baseline_cells(jobs: &[SimJob]) -> Vec<Option<usize>> {
+    jobs.iter()
+        .map(|ideal| {
+            let ideal = ideal.cfg.governor.is_ideal().then_some(ideal)?;
+            jobs.iter().position(|job| job.runs_as(ideal, GovernorSpec::NoCompression))
+        })
+        .collect()
+}
+
+/// Runs distinct jobs on the pool in two waves (see the module docs);
+/// results in job order.
 fn run_distinct(jobs: Vec<SimJob>) -> Vec<Result<SimStats, JobFailure>> {
+    let baseline = baseline_cells(&jobs);
     let mut slots: Vec<Option<Result<SimStats, JobFailure>>> = jobs.iter().map(|_| None).collect();
     let items = pool_items(jobs);
     let cells: Vec<Vec<usize>> = items.iter().map(Item::cells).collect();
+    let mut replays = Vec::new();
     for (cells, outcome) in cells.into_iter().zip(execute(items, &Item::run, Permits::PerItem)) {
         match outcome {
-            Ok(results) => {
-                for (i, result) in cells.into_iter().zip(results) {
+            Ok((results, replay)) => {
+                for (i, result) in results {
                     slots[i] = Some(result);
                 }
+                replays.extend(replay);
             }
             Err(failure) => {
                 for i in cells {
@@ -524,6 +613,23 @@ fn run_distinct(jobs: Vec<SimJob>) -> Vec<Result<SimStats, JobFailure>> {
                 }
             }
         }
+    }
+    // Between the waves: a replay the batch's baseline cell provably
+    // repeats takes that cell's result instead of running.
+    let mut wave2 = Vec::new();
+    for replay in replays {
+        let served = baseline[replay.index]
+            .and_then(|b| slots[b].as_ref())
+            .filter(|result| replay.is_served_by(result))
+            .cloned();
+        match served {
+            Some(result) => slots[replay.index] = Some(result),
+            None => wave2.push(replay),
+        }
+    }
+    let indices: Vec<usize> = wave2.iter().map(|replay| replay.index).collect();
+    for (i, outcome) in indices.into_iter().zip(execute(wave2, &Replay::run, Permits::PerItem)) {
+        slots[i] = Some(outcome.and_then(|result| result));
     }
     slots.into_iter().map(|slot| slot.expect("every job is a cell of one item")).collect()
 }
@@ -698,8 +804,10 @@ where
 mod tests {
     use std::time::Duration;
 
+    use kagura_core::CompressionGovernor;
+
     use super::*;
-    use crate::config::{EhsDesign, GovernorSpec, StepBudget};
+    use crate::config::{EhsDesign, StepBudget};
 
     #[test]
     fn map_preserves_submission_order() {
@@ -868,6 +976,55 @@ mod tests {
             vec![vec![3, 0], vec![1, 4], vec![2, 8], vec![5], vec![6], vec![7]],
             "twins pair first-come by submission order; a budget or design difference blocks it"
         );
+    }
+
+    #[test]
+    fn ideal_jobs_find_their_baseline() {
+        let job = |app, gov| SimJob::new(app, 0.01, SimConfig::table1().with_governor(gov));
+        let nvmr = |mut job: SimJob| {
+            job.cfg.design = EhsDesign::Nvmr;
+            job
+        };
+        let ideal_kagura = GovernorSpec::IdealAccKagura(Default::default());
+        let jobs = vec![
+            job(App::Sha, GovernorSpec::IdealAcc),            // 0
+            job(App::Sha, GovernorSpec::Acc),                 // 1
+            nvmr(job(App::Sha, GovernorSpec::NoCompression)), // 2
+            job(App::Sha, ideal_kagura),                      // 3
+            job(App::Sha, GovernorSpec::NoCompression),       // 4
+            nvmr(job(App::Sha, GovernorSpec::IdealAcc)),      // 5
+            job(App::Crc32, GovernorSpec::IdealAcc),          // 6: no baseline
+            job(App::Sha, GovernorSpec::IdealAcc).with_budget(StepBudget::insts(9)), // 7
+        ];
+        assert_eq!(
+            baseline_cells(&jobs),
+            vec![Some(4), None, None, Some(4), None, Some(2), None, None],
+            "a baseline must match its ideal job in app, design and budget"
+        );
+    }
+
+    #[test]
+    fn only_a_complete_baseline_within_the_trace_serves_a_replay() {
+        let mut rec = Governor::record_acc();
+        rec.on_power_failure();
+        rec.on_reboot();
+        let trace = rec.into_oracle_trace().expect("recorder yields a trace");
+        let replay = Replay {
+            index: 0,
+            job: SimJob::new(App::Sha, 0.01, SimConfig::table1()),
+            gov: Governor::replay_acc(trace),
+        };
+        let run = |completed, power_cycle_count| {
+            Ok(SimStats { completed, power_cycle_count, ..SimStats::default() })
+        };
+        assert!(replay.is_served_by(&run(true, 2)));
+        assert!(!replay.is_served_by(&run(true, 3)), "a third cycle outlives the trace");
+        assert!(!replay.is_served_by(&run(false, 2)), "an incomplete baseline serves nothing");
+        let timed_out = JobFailure::TimedOut { detail: String::new(), executed_insts: 9 };
+        let panicked = JobFailure::Panicked { message: String::new() };
+        for failure in [timed_out, panicked, JobFailure::WorkerDied] {
+            assert!(!replay.is_served_by(&Err(failure.clone())), "{failure} serves nothing");
+        }
     }
 
     #[test]

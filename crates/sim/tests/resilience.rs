@@ -2,8 +2,9 @@
 //! runaway simulations deterministically, a batch containing panicking
 //! and hanging jobs completes with those cells failed while every
 //! healthy cell matches the no-fault run exactly, and repeated jobs that
-//! share one pass, or an ideal job that shares its recording pass with a
-//! twin job, give every cell exactly its lone result.
+//! share one pass, an ideal job that shares its recording pass with a
+//! twin job, or one whose replay is served by its baseline cell, give
+//! every cell exactly its lone result.
 
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -216,4 +217,84 @@ fn twin_pairing_gives_every_cell_its_lone_result() {
             .collect();
         assert_eq!(reported, failed, "JobFailed must carry each failed cell's original index");
     }
+}
+
+/// Pool passes recorded so far: one `job_latency_ms` sample per pass.
+fn passes() -> u64 {
+    let mut m = ehs_sim::parallel::pool_metrics();
+    let hist = m.histogram("job_latency_ms", &[]);
+    m.histogram_data(hist).count()
+}
+
+/// The baseline-replay differential: Fig 13's five governors on every
+/// app and design in one batch, so each ideal cell has its twin and its
+/// baseline cell beside it. Every cell equals `run_job` of its job in
+/// full `SimStats`, at one worker and at two, and exactly the 42 ideal
+/// cells of the 7 apps whose oracle finds nothing to compress (both
+/// ideal specs × 3 designs) take their baseline's result instead of
+/// running a replay.
+#[test]
+fn baseline_replays_give_every_cell_its_lone_result() {
+    let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
+    let governors = [
+        GovernorSpec::NoCompression,
+        GovernorSpec::Acc,
+        GovernorSpec::AccKagura(Default::default()),
+        GovernorSpec::IdealAcc,
+        GovernorSpec::IdealAccKagura(Default::default()),
+    ];
+    let mut jobs = Vec::new();
+    for app in App::ALL {
+        for design in EhsDesign::ALL {
+            for gov in governors {
+                let cfg = SimConfig::table1().with_governor(gov).with_design(design);
+                jobs.push(SimJob::new(app, 0.15, cfg));
+            }
+        }
+    }
+    ehs_sim::parallel::set_max_workers(2);
+    let lone: Vec<Result<SimStats, JobFailure>> =
+        ehs_sim::parallel::run_concurrent(jobs.clone(), run_job);
+    let ideal = jobs.iter().filter(|job| job.cfg.governor.is_ideal()).count() as u64;
+    assert_eq!(ideal, 120);
+    for workers in [1, 2] {
+        ehs_sim::parallel::set_max_workers(workers);
+        let before = passes();
+        let batch = run_batch(jobs.clone());
+        for (i, (cell, alone)) in batch.iter().zip(&lone).enumerate() {
+            assert!(alone.is_ok(), "cell {i} failed alone: {alone:?}");
+            assert_eq!(
+                cell,
+                alone,
+                "cell {i} ({:?} {} under {}) differs from its lone run at {workers} worker(s)",
+                jobs[i].app,
+                jobs[i].cfg.design,
+                jobs[i].cfg.governor.label()
+            );
+        }
+        // Without serving, each (app, design) runs a baseline, two
+        // recording passes (each also its twin's run) and two replays.
+        let served = jobs.len() as u64 - (passes() - before);
+        assert_eq!(served, 42, "ideal cells served by their baseline at {workers} worker(s)");
+    }
+}
+
+/// A voltage-triggered Kagura adds its trigger comparator's standby draw,
+/// so its ideal cell is never the baseline's run, even where the oracle
+/// finds nothing to compress (sha): the replay must run.
+#[test]
+fn a_voltage_trigger_replay_is_never_served() {
+    use kagura_core::{KaguraConfig, TriggerKind};
+    let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
+    let voltage =
+        KaguraConfig { trigger: TriggerKind::Voltage { fraction: 0.5 }, ..Default::default() };
+    let jobs: Vec<SimJob> = [GovernorSpec::NoCompression, GovernorSpec::IdealAccKagura(voltage)]
+        .into_iter()
+        .map(|gov| SimJob::new(App::Sha, 0.15, SimConfig::table1().with_governor(gov)))
+        .collect();
+    let lone: Vec<Result<SimStats, JobFailure>> = jobs.iter().cloned().map(run_job).collect();
+    assert_ne!(lone[0], lone[1], "the trigger's standby draw must change the run");
+    let before = passes();
+    assert_eq!(run_batch(jobs), lone);
+    assert_eq!(passes() - before, 3, "baseline, recording and replay each run a pass");
 }
