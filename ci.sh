@@ -207,6 +207,8 @@ expect_exit 2 "$SIMRUN" --frobnicate              # usage: unknown flag
 expect_exit 2 "$SIMRUN"                           # usage: missing app
 expect_exit 3 "$SIMRUN" sha --governor zorp       # config: bad enum value
 expect_exit 3 "$SIMRUN" nosuchapp                 # config: unknown app
+expect_exit 3 "$SIMRUN" sha --cap -1              # config: non-positive capacitance
+expect_exit 3 "$SIMRUN" sha --cache 100           # config: inconsistent cache geometry
 expect_exit 2 "$REPRO" --scael 1                  # usage: misspelled flag
 expect_exit 3 "$REPRO" nosuchexperiment           # config: unknown experiment
 echo "exit codes distinguish usage/config/runtime failures"

@@ -64,7 +64,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ehs_telemetry::spans;
-use ehs_workloads::App;
 use kagura_bench::experiments::{find, ExpFn, REGISTRY};
 use kagura_bench::journal::RunJournal;
 use kagura_bench::{fsutil, ExpContext};
@@ -165,14 +164,10 @@ fn main() -> ExitCode {
                 };
                 let mut apps = Vec::new();
                 for name in spec.split(',') {
-                    match App::from_name(name.trim()) {
-                        Some(a) => apps.push(a),
-                        None => {
-                            eprintln!("unknown app {name:?}; known apps:");
-                            for a in App::ALL {
-                                eprint!(" {a}");
-                            }
-                            eprintln!();
+                    match kagura_bench::vocab::app(name.trim()) {
+                        Ok(a) => apps.push(a),
+                        Err(e) => {
+                            eprintln!("{e}");
                             return ExitCode::from(EXIT_CONFIG);
                         }
                     }

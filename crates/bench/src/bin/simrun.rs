@@ -74,18 +74,15 @@ use std::sync::Arc;
 use std::io::BufWriter;
 use std::path::Path;
 
-use ehs_compress::Algorithm;
-use ehs_energy::{CapacitorConfig, PowerTrace, TraceKind};
+use ehs_energy::PowerTrace;
 use ehs_sim::runner::default_trace;
-use ehs_sim::{
-    CachescopeConfig, EhsDesign, Extension, FaultKind, GovernorSpec, LeakscopeOptions, SimConfig,
-    SimStats, Simulator,
-};
+use ehs_sim::{CachescopeConfig, FaultKind, LeakscopeOptions, SimConfig, SimStats, Simulator};
 use ehs_telemetry::{ChromeTraceSink, JsonlSink, Sink, Stamped};
 use ehs_workloads::App;
 use kagura_bench::cachescope::{self, ScopeLabels};
 use kagura_bench::cli::{validate_args, CliError, FlagSpec};
 use kagura_bench::leakscope;
+use kagura_bench::vocab::{Resolved, Settings};
 
 fn usage() {
     eprintln!(
@@ -182,83 +179,37 @@ impl Args {
     fn has(&self, name: &str) -> bool {
         self.0.iter().any(|a| a == name)
     }
+
+    /// The value of flag `name` parsed as a number, if given; `what`
+    /// names it in the error.
+    fn number<T: std::str::FromStr>(&self, name: &str, what: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.flag(name).map(|s| s.parse().map_err(|e| format!("bad {what}: {e}"))).transpose()
+    }
 }
 
-fn build_config(args: &Args) -> Result<SimConfig, String> {
-    let mut cfg = SimConfig::table1();
-    if let Some(g) = args.flag("--governor") {
-        cfg.governor = match g {
-            "baseline" | "none" => GovernorSpec::NoCompression,
-            "always" => GovernorSpec::AlwaysCompress,
-            "acc" => GovernorSpec::Acc,
-            "kagura" => GovernorSpec::AccKagura(Default::default()),
-            "ideal-acc" => GovernorSpec::IdealAcc,
-            "ideal-kagura" => GovernorSpec::IdealAccKagura(Default::default()),
-            "rand-threshold" | "rand_threshold" => GovernorSpec::RandThreshold(Default::default()),
-            other => return Err(format!("unknown governor {other:?}")),
-        };
+/// Resolves the command line's settings through the shared vocabulary
+/// ([`kagura_bench::vocab`]); `simrun` itself only parses the numbers.
+fn build_config(app: &str, args: &Args) -> Result<Resolved, String> {
+    let mut resolved = Settings {
+        app,
+        scale: args.number("--scale", "scale")?,
+        governor: args.flag("--governor"),
+        design: args.flag("--design"),
+        algorithm: args.flag("--algorithm"),
+        trace: args.flag("--trace"),
+        seed: args.number("--seed", "seed")?,
+        cache: args.number("--cache", "cache size")?,
+        ways: args.number("--ways", "way count")?,
+        block: args.number("--block", "block size")?,
+        cap: args.number("--cap", "capacitance")?,
+        extension: args.flag("--extension"),
     }
-    if let Some(d) = args.flag("--design") {
-        cfg.design = match d {
-            "nvsram" | "nvsramcache" => EhsDesign::NvsramCache,
-            "nvmr" => EhsDesign::Nvmr,
-            "sweepcache" | "sweep" => EhsDesign::SweepCache,
-            other => return Err(format!("unknown design {other:?}")),
-        };
-    }
-    if let Some(a) = args.flag("--algorithm") {
-        cfg.algorithm = match a.to_ascii_lowercase().as_str() {
-            "bdi" => Algorithm::Bdi,
-            "fpc" => Algorithm::Fpc,
-            "cpack" | "c-pack" => Algorithm::CPack,
-            "dzc" => Algorithm::Dzc,
-            "bpc" => Algorithm::Bpc,
-            "fvc" => Algorithm::Fvc,
-            other => return Err(format!("unknown algorithm {other:?}")),
-        };
-    }
-    if let Some(t) = args.flag("--trace") {
-        cfg.trace_kind = match t.to_ascii_lowercase().as_str() {
-            "rfhome" | "rf" => TraceKind::RfHome,
-            "solar" => TraceKind::Solar,
-            "thermal" => TraceKind::Thermal,
-            other => return Err(format!("unknown trace {other:?}")),
-        };
-    }
-    if let Some(s) = args.flag("--seed") {
-        cfg.trace_seed = s.parse().map_err(|e| format!("bad seed: {e}"))?;
-    }
-    if let Some(c) = args.flag("--cache") {
-        let bytes: u32 = c.parse().map_err(|e| format!("bad cache size: {e}"))?;
-        cfg.system.icache = cfg.system.icache.with_size(bytes);
-        cfg.system.dcache = cfg.system.dcache.with_size(bytes);
-    }
-    if let Some(w) = args.flag("--ways") {
-        let ways: u32 = w.parse().map_err(|e| format!("bad way count: {e}"))?;
-        cfg.system.icache = cfg.system.icache.with_ways(ways);
-        cfg.system.dcache = cfg.system.dcache.with_ways(ways);
-    }
-    if let Some(b) = args.flag("--block") {
-        let bytes: u32 = b.parse().map_err(|e| format!("bad block size: {e}"))?;
-        cfg.system.icache = cfg.system.icache.with_block_size(bytes);
-        cfg.system.dcache = cfg.system.dcache.with_block_size(bytes);
-    }
-    if let Some(c) = args.flag("--cap") {
-        let uf: f64 = c.parse().map_err(|e| format!("bad capacitance: {e}"))?;
-        cfg.capacitor = CapacitorConfig::with_capacitance_uf(uf);
-    }
-    if let Some(e) = args.flag("--extension") {
-        cfg.extension = match e {
-            "none" => Extension::None,
-            "edbp" => Extension::edbp(),
-            "ipex" => Extension::ipex(),
-            other => return Err(format!("unknown extension {other:?}")),
-        };
-    }
-    if args.has("--audit-strict") {
-        cfg.audit_strict = true;
-    }
-    Ok(cfg)
+    .resolve()?;
+    resolved.cfg.audit_strict = args.has("--audit-strict");
+    Ok(resolved)
 }
 
 /// Machine-readable counterpart of [`print_report`]: a JSON tree built
@@ -483,23 +434,13 @@ fn run() -> Result<(), CliError> {
         usage();
         return Err(CliError::Usage(e));
     }
-    let Some(app_name) = raw.first() else {
+    let args = Args(raw);
+    let Some(app_name) = args.0.first() else {
         usage();
         return Err(CliError::Usage("missing app".into()));
     };
-    let Some(app) = App::from_name(app_name) else {
-        usage();
-        return Err(CliError::Config(format!("unknown app {app_name:?}")));
-    };
-    let args = Args(raw);
-    let scale: f64 = match args.flag("--scale") {
-        Some(s) => s.parse().map_err(|e| CliError::Config(format!("bad scale: {e}")))?,
-        None => 1.0,
-    };
-    if scale <= 0.0 {
-        return Err(CliError::Config("scale must be positive".into()));
-    }
-    let cfg = build_config(&args).map_err(CliError::Config)?;
+    let Resolved { app, scale, cfg, .. } =
+        build_config(app_name, &args).map_err(CliError::Config)?;
 
     let inject = match args.flag("--inject-at") {
         Some(n) => {

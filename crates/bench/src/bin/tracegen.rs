@@ -15,22 +15,13 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
-use ehs_energy::{PowerTrace, TraceKind};
+use ehs_energy::PowerTrace;
 use ehs_model::Power;
 
 fn usage() {
     eprintln!("usage: tracegen gen <rfhome|solar|thermal> <len> [--seed S] [--out FILE]");
     eprintln!("       tracegen constant <uW> <len> [--out FILE]");
     eprintln!("       tracegen stats <FILE>");
-}
-
-fn parse_kind(name: &str) -> Option<TraceKind> {
-    match name.to_ascii_lowercase().as_str() {
-        "rfhome" | "rf" => Some(TraceKind::RfHome),
-        "solar" => Some(TraceKind::Solar),
-        "thermal" => Some(TraceKind::Thermal),
-        _ => None,
-    }
 }
 
 fn write_out(trace: &PowerTrace, out: Option<&str>) -> io::Result<()> {
@@ -84,10 +75,8 @@ fn run() -> Result<(), String> {
     };
     match args.first().map(String::as_str) {
         Some("gen") => {
-            let kind = args
-                .get(1)
-                .and_then(|k| parse_kind(k))
-                .ok_or("gen needs a source: rfhome | solar | thermal")?;
+            let kind = args.get(1).ok_or("gen needs a source: rfhome | solar | thermal")?;
+            let kind = kagura_bench::vocab::trace_kind(kind)?;
             let len: usize = args
                 .get(2)
                 .and_then(|l| l.parse().ok())

@@ -97,6 +97,15 @@ pub fn unknown_flag_error(flag: &str, known: &[&str]) -> String {
     }
 }
 
+/// Error message for an unrecognized value of `field`, naming the
+/// nearest candidate when a plausible typo exists, else every candidate.
+pub fn unknown_value_error(field: &str, got: &str, candidates: &[&str]) -> String {
+    match suggest(got, candidates) {
+        Some(nearest) => format!("unknown {field} {got:?} (did you mean {nearest:?}?)"),
+        None => format!("unknown {field} {got:?} (expected one of: {})", candidates.join(", ")),
+    }
+}
+
 /// One recognized flag: its name and whether it consumes a value.
 #[derive(Debug, Clone, Copy)]
 pub struct FlagSpec {

@@ -20,6 +20,7 @@ pub mod fsutil;
 pub mod journal;
 pub mod leakscope;
 pub mod serve;
+pub mod vocab;
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -9,8 +9,9 @@
 //! `"governer"` field would answer a *different question* than the
 //! client asked, with no error to show for it.
 //!
-//! A parsed query is immediately canonicalized: defaults are filled in,
-//! aliases resolved (`"none"` → `"baseline"`, `"sweep"` →
+//! A parsed query is immediately canonicalized through the vocabulary
+//! `simrun` uses too ([`crate::vocab`]): defaults are filled in, aliases
+//! resolved (`"none"` → `"baseline"`, `"sweep"` →
 //! `"sweepcache"`), and the result serialized as a fixed-field-order
 //! fingerprint ([`Query::cache_key`]) — the same shape as the journal
 //! config fingerprints, so two spellings of one configuration share one
@@ -19,13 +20,12 @@
 //! a non-triggering budget is byte-identical to an unlimited one
 //! (budget-exhausted results are never cached).
 
-use ehs_compress::Algorithm;
-use ehs_energy::{CapacitorConfig, TraceKind};
-use ehs_sim::{EhsDesign, Extension, GovernorSpec, SimConfig, StepBudget};
+use ehs_sim::{Extension, SimConfig, StepBudget};
 use ehs_workloads::App;
 use serde_json::{json, Value};
 
-use crate::cli::suggest;
+use crate::cli::{suggest, unknown_value_error};
+use crate::vocab::{Resolved, Settings};
 
 /// Every field a request object may carry, in canonical order.
 pub const KNOWN_FIELDS: &[&str] = &[
@@ -153,16 +153,6 @@ impl Query {
 /// request.
 pub type ParseError = (Value, String);
 
-/// Did-you-mean error for a bad enum value.
-fn bad_enum(field: &str, got: &str, candidates: &[&str]) -> String {
-    match suggest(got, candidates) {
-        Some(nearest) => format!("unknown {field} {got:?} (did you mean {nearest:?}?)"),
-        None => {
-            format!("unknown {field} {got:?} (expected one of: {})", candidates.join(", "))
-        }
-    }
-}
-
 /// Parses and validates one request line. On failure the error carries
 /// the correlation id when one could still be extracted (valid JSON
 /// object with an `id` member), else JSON `null`.
@@ -211,7 +201,7 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
         "query" => {
             Ok(Request::Query { id: id.clone(), query: Box::new(parse_query(&value, &id)?) })
         }
-        other => Err(fail(bad_enum("op", other, KNOWN_OPS))),
+        other => Err(fail(unknown_value_error("op", other, KNOWN_OPS))),
     }
 }
 
@@ -239,115 +229,38 @@ fn get_f64(value: &Value, key: &str) -> Result<Option<f64>, String> {
     }
 }
 
-/// Validates the query fields of a `{"op":"query"}` request and
-/// resolves them onto a [`SimConfig`], mirroring `simrun`'s flag
-/// parsing (same aliases, same defaults) so the service answers exactly
-/// what the CLI would.
+/// Decodes the query fields of a `{"op":"query"}` request and resolves
+/// them through the vocabulary `simrun` uses too
+/// ([`crate::vocab::Settings`]: same spellings, aliases, defaults and
+/// checks), so the service answers exactly what the CLI would.
 fn parse_query(value: &Value, id: &Value) -> Result<Query, ParseError> {
-    let fail = |msg: String| (id.clone(), msg);
-    let app_name =
-        get_str(value, "app").map_err(&fail)?.ok_or_else(|| fail("missing field `app`".into()))?;
-    let app = App::from_name(app_name).ok_or_else(|| {
-        let names: Vec<&str> = App::ALL.iter().map(|a| a.name()).collect();
-        fail(bad_enum("app", app_name, &names))
-    })?;
-    let scale = get_f64(value, "scale").map_err(&fail)?.unwrap_or(1.0);
-    if scale.is_nan() || scale <= 0.0 {
-        return Err(fail(format!("field `scale` must be positive, got {scale}")));
-    }
-
-    let mut cfg = SimConfig::table1();
-    let mut governor = "baseline".to_string();
-    if let Some(g) = get_str(value, "governor").map_err(&fail)? {
-        const GOVERNORS: &[&str] =
-            &["baseline", "none", "always", "acc", "kagura", "ideal-acc", "ideal-kagura"];
-        (governor, cfg.governor) = match g {
-            "baseline" | "none" => ("baseline".into(), GovernorSpec::NoCompression),
-            "always" => ("always".into(), GovernorSpec::AlwaysCompress),
-            "acc" => ("acc".into(), GovernorSpec::Acc),
-            "kagura" => ("kagura".into(), GovernorSpec::AccKagura(Default::default())),
-            "ideal-acc" => ("ideal-acc".into(), GovernorSpec::IdealAcc),
-            "ideal-kagura" => {
-                ("ideal-kagura".into(), GovernorSpec::IdealAccKagura(Default::default()))
-            }
-            other => return Err(fail(bad_enum("governor", other, GOVERNORS))),
-        };
-    }
-    if let Some(d) = get_str(value, "design").map_err(&fail)? {
-        const DESIGNS: &[&str] = &["nvsram", "nvsramcache", "nvmr", "sweepcache", "sweep"];
-        cfg.design = match d {
-            "nvsram" | "nvsramcache" => EhsDesign::NvsramCache,
-            "nvmr" => EhsDesign::Nvmr,
-            "sweepcache" | "sweep" => EhsDesign::SweepCache,
-            other => return Err(fail(bad_enum("design", other, DESIGNS))),
-        };
-    }
-    if let Some(a) = get_str(value, "algorithm").map_err(&fail)? {
-        const ALGORITHMS: &[&str] = &["bdi", "fpc", "cpack", "c-pack", "dzc", "bpc", "fvc"];
-        cfg.algorithm = match a.to_ascii_lowercase().as_str() {
-            "bdi" => Algorithm::Bdi,
-            "fpc" => Algorithm::Fpc,
-            "cpack" | "c-pack" => Algorithm::CPack,
-            "dzc" => Algorithm::Dzc,
-            "bpc" => Algorithm::Bpc,
-            "fvc" => Algorithm::Fvc,
-            other => return Err(fail(bad_enum("algorithm", other, ALGORITHMS))),
-        };
-    }
-    if let Some(t) = get_str(value, "trace").map_err(&fail)? {
-        const TRACES: &[&str] = &["rfhome", "rf", "solar", "thermal"];
-        cfg.trace_kind = match t.to_ascii_lowercase().as_str() {
-            "rfhome" | "rf" => TraceKind::RfHome,
-            "solar" => TraceKind::Solar,
-            "thermal" => TraceKind::Thermal,
-            other => return Err(fail(bad_enum("trace", other, TRACES))),
-        };
-    }
-    if let Some(seed) = get_u64(value, "seed").map_err(&fail)? {
-        cfg.trace_seed = seed;
-    }
-    let small = |key: &str, n: u64| -> Result<u32, ParseError> {
-        u32::try_from(n).map_err(|_| fail(format!("field `{key}` is out of range")))
-    };
-    if let Some(c) = get_u64(value, "cache").map_err(&fail)? {
-        let bytes = small("cache", c)?;
-        cfg.system.icache = cfg.system.icache.with_size(bytes);
-        cfg.system.dcache = cfg.system.dcache.with_size(bytes);
-    }
-    if let Some(w) = get_u64(value, "ways").map_err(&fail)? {
-        let ways = small("ways", w)?;
-        cfg.system.icache = cfg.system.icache.with_ways(ways);
-        cfg.system.dcache = cfg.system.dcache.with_ways(ways);
-    }
-    if let Some(b) = get_u64(value, "block").map_err(&fail)? {
-        let bytes = small("block", b)?;
-        cfg.system.icache = cfg.system.icache.with_block_size(bytes);
-        cfg.system.dcache = cfg.system.dcache.with_block_size(bytes);
-    }
-    if let Some(uf) = get_f64(value, "cap").map_err(&fail)? {
-        if uf.is_nan() || uf <= 0.0 {
-            return Err(fail(format!("field `cap` must be positive, got {uf}")));
+    let query = || -> Result<Query, String> {
+        let Resolved { app, scale, governor, cfg } = Settings {
+            app: get_str(value, "app")?.ok_or("missing field `app`")?,
+            scale: get_f64(value, "scale")?,
+            governor: get_str(value, "governor")?,
+            design: get_str(value, "design")?,
+            algorithm: get_str(value, "algorithm")?,
+            trace: get_str(value, "trace")?,
+            seed: get_u64(value, "seed")?,
+            cache: get_u64(value, "cache")?,
+            ways: get_u64(value, "ways")?,
+            block: get_u64(value, "block")?,
+            cap: get_f64(value, "cap")?,
+            extension: get_str(value, "extension")?,
         }
-        cfg.capacitor = CapacitorConfig::with_capacitance_uf(uf);
-    }
-    if let Some(e) = get_str(value, "extension").map_err(&fail)? {
-        const EXTENSIONS: &[&str] = &["none", "edbp", "ipex"];
-        cfg.extension = match e {
-            "none" => Extension::None,
-            "edbp" => Extension::edbp(),
-            "ipex" => Extension::ipex(),
-            other => return Err(fail(bad_enum("extension", other, EXTENSIONS))),
-        };
-    }
-    let deadline_ms = get_u64(value, "deadline_ms").map_err(&fail)?;
-    let max_insts = get_u64(value, "max_insts").map_err(&fail)?;
-    if deadline_ms == Some(0) {
-        return Err(fail("field `deadline_ms` must be positive".into()));
-    }
-    if max_insts == Some(0) {
-        return Err(fail("field `max_insts` must be positive".into()));
-    }
-    Ok(Query { app, scale, governor, cfg, deadline_ms, max_insts })
+        .resolve()?;
+        let deadline_ms = get_u64(value, "deadline_ms")?;
+        let max_insts = get_u64(value, "max_insts")?;
+        if deadline_ms == Some(0) {
+            return Err("field `deadline_ms` must be positive".into());
+        }
+        if max_insts == Some(0) {
+            return Err("field `max_insts` must be positive".into());
+        }
+        Ok(Query { app, scale, governor: governor.to_string(), cfg, deadline_ms, max_insts })
+    };
+    query().map_err(|msg| (id.clone(), msg))
 }
 
 #[cfg(test)]
@@ -409,6 +322,36 @@ mod tests {
         assert!(err.1.contains("`app`"), "{}", err.1);
         let err = parse_request(r#"{"op":"health","app":"sha"}"#).unwrap_err();
         assert!(err.1.contains("not valid for op"), "{}", err.1);
+    }
+
+    /// The service speaks `simrun`'s vocabulary: every spelling the CLI
+    /// takes, and a `bad_request` (never a failed simulation) for a value
+    /// the CLI refuses.
+    #[test]
+    fn queries_share_the_cli_vocabulary_and_checks() {
+        let line = r#"{"op":"query","app":"sha","governor":"rand-threshold"}"#;
+        let Request::Query { query, .. } = parse_request(line).unwrap() else {
+            panic!("expected a query");
+        };
+        assert_eq!(query.governor, "rand-threshold");
+        let err = parse_request(r#"{"op":"query","app":"sha","cache":100}"#).unwrap_err();
+        assert!(err.1.contains("inconsistent cache geometry"), "{}", err.1);
+    }
+
+    /// Persisted serve state stays valid: a query's key bytes are pinned.
+    #[test]
+    fn cache_key_bytes_are_stable() {
+        let line = r#"{"op":"query","app":"jpegd","scale":0.5,"governor":"none","design":"sweep",
+            "algorithm":"C-Pack","trace":"RF","seed":7,"cache":512,"ways":4,"block":16,"cap":10,
+            "extension":"edbp"}"#;
+        let Request::Query { query, .. } = parse_request(&line.replace('\n', "")).unwrap() else {
+            panic!("expected a query");
+        };
+        let key = r#"{"app":"jpegd","scale":0.5,"governor":"baseline","design":"SweepCache","#
+            .to_string()
+            + r#""algorithm":"c-pack","trace":"rfhome","seed":7,"cache":512,"ways":4,"block":16,"#
+            + r#""cap_uf":10.0,"extension":"edbp"}"#;
+        assert_eq!(query.cache_key(), key);
     }
 
     #[test]

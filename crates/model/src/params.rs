@@ -88,17 +88,25 @@ impl CacheParams {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (capacity not divisible into
-    /// `ways * block_size` sets, or a non-power-of-two set count).
+    /// Panics if the geometry is inconsistent (see
+    /// [`CacheParams::check_geometry`]).
     pub fn num_sets(&self) -> u32 {
+        self.check_geometry().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Number of sets implied by the geometry, or why there is none: the
+    /// capacity must divide into `ways * block_size` sets, and the set
+    /// count must be a power of two.
+    pub fn check_geometry(&self) -> Result<u32, &'static str> {
         let set_bytes = self.ways * self.block_size;
-        assert!(
-            set_bytes > 0 && self.size_bytes.is_multiple_of(set_bytes),
-            "inconsistent cache geometry"
-        );
+        if set_bytes == 0 || !self.size_bytes.is_multiple_of(set_bytes) {
+            return Err("inconsistent cache geometry");
+        }
         let sets = self.size_bytes / set_bytes;
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        sets
+        if !sets.is_power_of_two() {
+            return Err("set count must be a power of two");
+        }
+        Ok(sets)
     }
 
     /// Total leakage power of this cache while the core is powered.
@@ -283,6 +291,15 @@ mod tests {
         assert_eq!(CacheParams::table1().with_size(4096).num_sets(), 64);
         assert_eq!(CacheParams::table1().with_ways(1).num_sets(), 8);
         assert_eq!(CacheParams::table1().with_block_size(16).num_sets(), 8);
+    }
+
+    #[test]
+    fn geometry_check_names_the_broken_rule() {
+        let table1 = CacheParams::table1();
+        assert_eq!(table1.check_geometry(), Ok(4));
+        assert_eq!(table1.with_ways(0).check_geometry(), Err("inconsistent cache geometry"));
+        assert_eq!(table1.with_size(100).check_geometry(), Err("inconsistent cache geometry"));
+        assert_eq!(table1.with_size(192).check_geometry(), Err("set count must be a power of two"));
     }
 
     #[test]

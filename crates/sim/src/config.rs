@@ -285,10 +285,6 @@ pub struct SimConfig {
     /// lets nearly-dead traces (where `Capacitor::drain` zero-clamps)
     /// finish while still surfacing the drift.
     pub audit_strict: bool,
-    /// Absolute epsilon for the per-cycle ledger audit
-    /// ([`ehs_energy::ledger::DEFAULT_EPSILON`] by default; the audit
-    /// adds a relative term on top, see `LedgerRow::tolerance`).
-    pub ledger_epsilon: Energy,
 }
 
 impl SimConfig {
@@ -310,7 +306,6 @@ impl SimConfig {
             exec: ExecMode::FastForward,
             record_cycles: true,
             audit_strict: false,
-            ledger_epsilon: ehs_energy::ledger::DEFAULT_EPSILON,
         }
     }
 
@@ -406,7 +401,6 @@ mod tests {
     fn ledger_audit_defaults_lenient() {
         let cfg = SimConfig::table1();
         assert!(!cfg.audit_strict);
-        assert_eq!(cfg.ledger_epsilon, ehs_energy::ledger::DEFAULT_EPSILON);
         assert!(SimConfig::table1().with_audit_strict(true).audit_strict);
     }
 

@@ -1211,7 +1211,7 @@ impl<'p> Simulator<'p> {
     /// demands strict auditing (`--audit-strict`; the panic is contained
     /// by the parallel pool's fault machinery in batch runs).
     fn audit_ledger(&mut self, row: &LedgerRow) {
-        if let Err(imbalance) = row.audit(self.cfg.ledger_epsilon) {
+        if let Err(imbalance) = row.audit(ehs_energy::ledger::DEFAULT_EPSILON) {
             self.stats.ledger_violations += 1;
             if let Some((t, _)) = self.telemetry.as_mut() {
                 t.emit(
@@ -1287,14 +1287,7 @@ impl<'p> Simulator<'p> {
         }
         let block_size = self.cfg.system.dcache.block_size;
         for e in &outcome.evicted {
-            self.forget_fill(e.addr, is_dcache);
-            if e.dirty {
-                if e.was_compressed {
-                    // The cache already counted the decompression op; pay it.
-                    self.spend(EnergyCategory::Decompress, self.comp_cost.decompress_energy);
-                }
-                self.writeback(e);
-            }
+            self.retire(e, is_dcache);
         }
         // Oracle attribution for the incoming block.
         if outcome.stored_compressed {
@@ -1343,6 +1336,19 @@ impl<'p> Simulator<'p> {
         let ids: Vec<usize> = map.ids_in_set(set).collect();
         for id in ids {
             self.gov.mark_useful(id);
+        }
+    }
+
+    /// Retires a block that left the cache: drops its oracle entry, then
+    /// pays the decompression of a dirty compressed block (the cache
+    /// already counted the op) and writes a dirty block back.
+    fn retire(&mut self, e: &Evicted, is_dcache: bool) {
+        self.forget_fill(e.addr, is_dcache);
+        if e.dirty {
+            if e.was_compressed {
+                self.spend(EnergyCategory::Decompress, self.comp_cost.decompress_energy);
+            }
+            self.writeback(e);
         }
     }
 
@@ -1572,16 +1578,7 @@ impl<'p> Simulator<'p> {
                         );
                     }
                     for e in &evicted {
-                        self.forget_fill(e.addr, true);
-                        if e.dirty {
-                            if e.was_compressed {
-                                self.spend(
-                                    EnergyCategory::Decompress,
-                                    self.comp_cost.decompress_energy,
-                                );
-                            }
-                            self.writeback(e);
-                        }
+                        self.retire(e, true);
                     }
                 }
             }
@@ -1657,13 +1654,7 @@ impl<'p> Simulator<'p> {
             .collect();
         for addr in dead {
             if let Some(e) = self.dcache.invalidate_block(addr) {
-                self.forget_fill(e.addr, true);
-                if e.dirty {
-                    if e.was_compressed {
-                        self.spend(EnergyCategory::Decompress, self.comp_cost.decompress_energy);
-                    }
-                    self.writeback(&e);
-                }
+                self.retire(&e, true);
             }
         }
     }

@@ -49,62 +49,45 @@
 //! and per-pass latency lands in the pool metrics ([`pool_metrics`]), so
 //! the orchestration layer is observable end to end.
 //!
-//! # One pass per distinct cell
+//! # Pass plan
 //!
-//! Jobs of one batch that are equal in app, scale and the whole
-//! [`SimConfig`] are one distinct job, and it runs one pass: Fig 23's
-//! four algorithm rows share one compressor-free baseline column, so
-//! that column runs once per app instead of four times. The pass's
-//! result, or its failure, goes to every cell that submitted the job.
-//! The pool still counts cells: one `jobs_ok` per successful cell and
-//! one `JobFailed` per failed cell's index, but one `sim` span and one
-//! `job_latency_ms` sample per pass. Only jobs with the same app, scale
-//! and trace seed are compared, so splitting a fleet shard, whose cells
-//! each draw their own trace seed, stays linear in the batch size.
+//! [`run_batch`] plans a batch before it runs anything. Every cell names
+//! the wave-1 *pass* it takes its stats from, found through one lookup
+//! keyed by app, scale and trace seed and matched on the whole
+//! [`SimConfig`]:
 //!
-//! # Oracle twins
+//! * A plain cell reads the pass of its own job, so equal jobs share one
+//!   pass: Fig 23's four algorithm rows share one compressor-free
+//!   baseline column, which runs once per app instead of four times.
+//! * An ideal cell ([`GovernorSpec::is_ideal`]) reads the pass of the
+//!   same job under its [`GovernorSpec::recording_twin`] (ACC for ideal
+//!   ACC, ACC+Kagura for ideal ACC+Kagura). That pass runs the two-phase
+//!   oracle's recording, which is the twin's plain run bit for bit, so
+//!   it serves the twin's cells too, and leaves a replay [`Governor`].
+//!   The ideal cell also names the pass of its *baseline*: its job under
+//!   [`GovernorSpec::NoCompression`], when the batch holds one.
 //!
-//! An ideal job ([`GovernorSpec::is_ideal`]) runs two passes: a
-//! recording pass, then a replay that compresses only what the recording
-//! found useful. The recording pass is the plain run of its *twin* spec
-//! ([`GovernorSpec::recording_twin`]: ACC for ideal ACC, ACC+Kagura for
-//! ideal ACC+Kagura), bit for bit. So [`run_batch`] runs a batch's
-//! distinct jobs in two waves:
-//!
-//! * **Wave 1** runs every other job alone, and every ideal job's
-//!   recording pass. When the batch holds the ideal job's twin — the
-//!   same app and scale, and a config equal in every field but
-//!   `governor` — the recording pass's stats are the twin's result, and
-//!   the twin runs no pass of its own. Each ideal job, in submission
-//!   order, takes the first twin not yet taken. The recording pass
-//!   leaves its ideal job a replay [`Governor`].
-//! * **Wave 2** runs each replay not served in between (below). It
-//!   rebuilds the program and trace rather than holding them across the
-//!   waves, which would raise the batch's peak memory.
-//!
-//! Pairing works on the distinct jobs, so a repeated ideal job still
-//! shares its twin's pass. Results stay in submission order and equal
-//! those of running each job alone, failures included: a pass that
-//! panics or times out fails its cells as it would alone, and a
-//! panicking recording pass fails the cells of both jobs. A Fig 13 app
-//! (baseline, ACC, ACC+Kagura and both ideal cells) thus runs 5 passes,
-//! not 7, and an ideal job without a twin runs 2.
-//!
-//! # Baseline replays
-//!
-//! A replay whose recording found no useful compression
-//! ([`OracleTrace::never_compresses`]) bypasses every fill, exactly as
-//! the no-compression baseline does, until it outlives the recorded
-//! cycles. Between the waves, an ideal job's cell therefore takes the
-//! result of the batch's *baseline* cell — the job equal to it but for a
-//! [`GovernorSpec::NoCompression`] governor — instead of replaying, when
-//! that baseline completed with no failure and the replay governor
+//! Passes run in order of each one's first cell. Between the waves, a
+//! replay whose recording found no useful compression
+//! ([`OracleTrace::never_compresses`]) takes its baseline pass's result
+//! when that pass completed with no failure and the replay governor
 //! provably repeats its run ([`Governor::replays_baseline`]: no useful
 //! fill, no voltage trigger, and no more power cycles than the trace
-//! records). A served cell counts one `jobs_ok` but records no `sim`
-//! span and no `job_latency_ms` sample, since no pass ran. On the 7 Fig
-//! 13 apps whose oracle finds nothing to compress, both ideal cells are
-//! served, and the app runs 3 passes.
+//! records). Wave 2 runs every other replay; it rebuilds the program and
+//! trace rather than holding them across the waves, which would raise
+//! the batch's peak memory.
+//!
+//! Every cell's result equals that of running its job alone, failures
+//! included: a pass's raw outcome is judged once per cell under the
+//! cell's own label, and a panicking recording pass fails its ideal
+//! cells as well as its plain ones. The pool counts cells: one `jobs_ok`
+//! per successful cell and one `JobFailed` per failed cell's index, but
+//! one `sim` span and one `job_latency_ms` sample per pass, and none for
+//! a served cell. A Fig 13 app (baseline, ACC, ACC+Kagura and both ideal
+//! cells) thus runs 5 passes, or 3 on the 7 apps whose oracle finds
+//! nothing to compress; an ideal job alone runs 2. Splitting a fleet
+//! shard, whose cells each draw their own trace seed, stays linear in
+//! the batch size.
 //!
 //! [`OracleTrace::never_compresses`]: kagura_core::OracleTrace::never_compresses
 
@@ -322,16 +305,15 @@ impl SimJob {
         format!("{}:{}", self.app, self.cfg.governor.label())
     }
 
-    /// `true` when this job is `ideal` run under `governor`: the same app
-    /// and scale, and a config equal to `ideal`'s in every field but the
-    /// governor, which is `governor`. Under `ideal`'s
-    /// [`GovernorSpec::recording_twin`] this job is its twin; under
-    /// [`GovernorSpec::NoCompression`], its baseline.
-    fn runs_as(&self, ideal: &SimJob, governor: GovernorSpec) -> bool {
-        self.cfg.governor == governor
-            && self.app == ideal.app
-            && self.scale == ideal.scale
-            && self.cfg == SimConfig { governor, ..ideal.cfg.clone() }
+    /// This job under `governor` instead of its own.
+    fn under(&self, governor: GovernorSpec) -> SimJob {
+        SimJob::new(self.app, self.scale, self.cfg.clone().with_governor(governor))
+    }
+
+    /// The bucket of a pass plan's lookup that holds this job: equal jobs
+    /// share app, scale (as bits) and trace seed.
+    fn plan_key(&self) -> (App, u64, u64) {
+        (self.app, self.scale.to_bits(), self.cfg.trace_seed)
     }
 
     /// Runs the job alone, with both failure modes contained.
@@ -385,71 +367,108 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("<non-string panic payload>")
 }
 
-/// A wave-1 pool item of a batch's distinct jobs (see the module docs):
-/// a job run alone, or an ideal job's recording pass, which is also the
-/// run of its twin, given by cell index and label, when the batch holds
-/// one.
-enum Item {
-    Lone(usize, SimJob),
-    Recording { ideal: (usize, SimJob), twin: Option<(usize, String)> },
+/// A batch's pass plan (see the module docs): its wave-1 passes, in
+/// order of each one's first cell, and the pass each cell reads.
+struct Plan {
+    passes: Vec<Pass>,
+    /// Per cell, in submission order: its pass, and whether it is that
+    /// pass's ideal job, which reads the replay rather than the pass.
+    cells: Vec<(usize, bool)>,
+    /// The passes of each bucket (`SimJob::plan_key`).
+    buckets: HashMap<(App, u64, u64), Vec<usize>>,
+}
+
+/// One wave-1 pass: the run of a job with no ideal governor, which
+/// records the oracle of `ideal`, the batch's ideal job whose recording
+/// twin it is, if any.
+struct Pass {
+    job: SimJob,
+    ideal: Option<SimJob>,
+    /// The pass of `ideal`'s baseline job, when the batch holds one.
+    baseline: Option<usize>,
+}
+
+/// A pass's raw outcome: its stats or panic text, or the failure of the
+/// pool item that ran it.
+type Raw = Result<Result<SimStats, String>, JobFailure>;
+
+impl Plan {
+    fn new(jobs: Vec<SimJob>) -> Plan {
+        let mut plan = Plan { passes: Vec::new(), cells: Vec::new(), buckets: HashMap::new() };
+        for job in jobs {
+            let cell = match job.cfg.governor.recording_twin() {
+                Some(twin) => {
+                    let p = plan.pass_of(job.under(twin));
+                    // `recording_twin` is injective, so every ideal job
+                    // of one pass is equal to the first.
+                    plan.passes[p].ideal.get_or_insert(job);
+                    (p, true)
+                }
+                None => (plan.pass_of(job), false),
+            };
+            plan.cells.push(cell);
+        }
+        for p in 0..plan.passes.len() {
+            if plan.passes[p].ideal.is_some() {
+                let baseline = plan.passes[p].job.under(GovernorSpec::NoCompression);
+                plan.passes[p].baseline = plan.find(&baseline);
+            }
+        }
+        plan
+    }
+
+    /// The pass that runs `job`, if the plan holds one.
+    fn find(&self, job: &SimJob) -> Option<usize> {
+        let bucket = self.buckets.get(&job.plan_key())?;
+        bucket.iter().copied().find(|&p| self.passes[p].job == *job)
+    }
+
+    /// The pass that runs `job`, planned anew after the others if the
+    /// plan holds none.
+    fn pass_of(&mut self, job: SimJob) -> usize {
+        if let Some(p) = self.find(&job) {
+            return p;
+        }
+        let p = self.passes.len();
+        self.buckets.entry(job.plan_key()).or_default().push(p);
+        self.passes.push(Pass { job, ideal: None, baseline: None });
+        p
+    }
+}
+
+impl Pass {
+    /// Wave 1: runs the job, or records `ideal`'s oracle in the same run;
+    /// returns the raw outcome and the replay governor a recording left.
+    fn run(&self) -> (Result<SimStats, String>, Option<Governor>) {
+        let label = self.job.label();
+        let Some(ideal) = &self.ideal else {
+            return (pass(&label, || run_app(self.job.app, self.job.scale, &self.job.cfg)), None);
+        };
+        let mut gov = None;
+        let raw = pass(&label, || {
+            let program = ideal.app.build(ideal.scale);
+            let trace = default_trace(&ideal.cfg);
+            let (stats, replay) = Simulator::record_oracle(&ideal.cfg, &program, &trace);
+            gov = Some(replay);
+            stats
+        });
+        (raw, gov)
+    }
+}
+
+/// The result a pass's raw outcome gives the cell named `label`.
+fn judged(label: &str, raw: &Raw) -> Result<SimStats, JobFailure> {
+    raw.clone().and_then(|raw| judge(label, raw))
 }
 
 /// An ideal job whose recording pass ran, with the replay governor that
 /// pass left for wave 2.
-struct Replay {
-    index: usize,
-    job: SimJob,
+struct Replay<'a> {
+    job: &'a SimJob,
     gov: Governor,
 }
 
-/// What wave 1 gives for one item: its served cells' results, and the
-/// replay an ideal job still needs, if any.
-type Recorded = (Vec<(usize, Result<SimStats, JobFailure>)>, Option<Replay>);
-
-impl Item {
-    /// The submission indices of the item's cells: its job's, or a
-    /// recording's twin's then its ideal job's.
-    fn cells(&self) -> Vec<usize> {
-        match self {
-            Item::Lone(i, _) => vec![*i],
-            Item::Recording { ideal, twin } => {
-                twin.iter().map(|twin| twin.0).chain(std::iter::once(ideal.0)).collect()
-            }
-        }
-    }
-
-    fn run(self) -> Recorded {
-        let ((index, job), twin) = match self {
-            Item::Lone(i, job) => return (vec![(i, job.run_alone())], None),
-            Item::Recording { ideal, twin } => (ideal, twin),
-        };
-        let label = twin.as_ref().map_or_else(|| job.label(), |(_, label)| label.clone());
-        let mut gov = None;
-        let recorded = pass(&label, || {
-            let program = job.app.build(job.scale);
-            let trace = default_trace(&job.cfg);
-            let (stats, replay) = Simulator::record_oracle(&job.cfg, &program, &trace);
-            gov = Some(replay);
-            stats
-        });
-        let mut cells = Vec::new();
-        let replay = match gov {
-            Some(gov) => Some(Replay { index, job, gov }),
-            // Only a panic leaves no replay governor, and alone the ideal
-            // job would have died in the same recording pass.
-            None => {
-                cells.push((index, judge(&job.label(), recorded.clone())));
-                None
-            }
-        };
-        if let Some((t, label)) = twin {
-            cells.push((t, judge(&label, recorded)));
-        }
-        (cells, replay)
-    }
-}
-
-impl Replay {
+impl Replay<'_> {
     /// Wave 2: rebuilds the job's program and trace and replays them.
     fn run(self) -> Result<SimStats, JobFailure> {
         let label = self.job.label();
@@ -458,7 +477,7 @@ impl Replay {
             pass(&label, || {
                 let program = self.job.app.build(self.job.scale);
                 let trace = default_trace(&self.job.cfg);
-                Simulator::with_governor(self.job.cfg, &program, &trace, self.gov).run()
+                Simulator::with_governor(self.job.cfg.clone(), &program, &trace, self.gov).run()
             }),
         )
     }
@@ -471,38 +490,6 @@ impl Replay {
         matches!(baseline, Ok(stats) if stats.completed
             && self.gov.replays_baseline(stats.power_cycle_count))
     }
-}
-
-/// Groups a batch's distinct jobs into wave-1 items, ordered by each
-/// item's first cell. Each ideal job, in submission order, pairs with the
-/// first twin (`SimJob::runs_as` its twin spec) that no earlier ideal job
-/// took.
-fn pool_items(jobs: Vec<SimJob>) -> Vec<Item> {
-    let n = jobs.len();
-    let mut partner: Vec<Option<usize>> = vec![None; n];
-    for i in 0..n {
-        if let Some(spec) = jobs[i].cfg.governor.recording_twin() {
-            let twin = (0..n).find(|&j| partner[j].is_none() && jobs[j].runs_as(&jobs[i], spec));
-            if let Some(j) = twin {
-                partner[i] = Some(j);
-                partner[j] = Some(i);
-            }
-        }
-    }
-    let mut slots: Vec<Option<SimJob>> = jobs.into_iter().map(Some).collect();
-    let mut items = Vec::new();
-    for i in 0..n {
-        let Some(job) = slots[i].take() else { continue };
-        let other = partner[i].map(|j| (j, slots[j].take().expect("a job pairs at most once")));
-        items.push(match (job.cfg.governor.is_ideal(), other) {
-            (false, Some(ideal)) => Item::Recording { ideal, twin: Some((i, job.label())) },
-            (true, twin) => {
-                Item::Recording { ideal: (i, job), twin: twin.map(|(t, twin)| (t, twin.label())) }
-            }
-            (false, None) => Item::Lone(i, job),
-        });
-    }
-    items
 }
 
 /// Counts finished cells in the pool metrics: `jobs_ok` per success,
@@ -531,27 +518,6 @@ fn count_cells(results: &[Result<SimStats, JobFailure>]) {
     }
 }
 
-/// Splits a batch into its distinct jobs, in order of first submission,
-/// and the submission indices of each one's cells. Equal jobs share app,
-/// scale and trace seed, so a job is compared only with the distinct
-/// jobs of its bucket.
-fn distinct_jobs(jobs: Vec<SimJob>) -> (Vec<SimJob>, Vec<Vec<usize>>) {
-    let mut buckets: HashMap<(App, u64, u64), Vec<usize>> = HashMap::new();
-    let (mut distinct, mut cells): (Vec<SimJob>, Vec<Vec<usize>>) = (Vec::new(), Vec::new());
-    for (i, job) in jobs.into_iter().enumerate() {
-        let bucket = buckets.entry((job.app, job.scale.to_bits(), job.cfg.trace_seed)).or_default();
-        match bucket.iter().find(|&&d| distinct[d] == job) {
-            Some(&d) => cells[d].push(i),
-            None => {
-                bucket.push(distinct.len());
-                distinct.push(job);
-                cells.push(vec![i]);
-            }
-        }
-    }
-    (distinct, cells)
-}
-
 /// Runs a batch of simulation jobs on the worker pool, containing every
 /// failure.
 ///
@@ -564,74 +530,53 @@ fn distinct_jobs(jobs: Vec<SimJob>) -> (Vec<SimJob>, Vec<Vec<usize>>) {
 /// in its slot and in those of the jobs equal to it; the rest of the
 /// batch completes untouched.
 pub fn run_batch(jobs: Vec<SimJob>) -> Vec<Result<SimStats, JobFailure>> {
-    let mut slots: Vec<Option<Result<SimStats, JobFailure>>> = jobs.iter().map(|_| None).collect();
-    let (distinct, cells) = distinct_jobs(jobs);
-    for (cells, result) in cells.into_iter().zip(run_distinct(distinct)) {
-        let copies = std::iter::repeat_n(result, cells.len());
-        for (i, result) in cells.into_iter().zip(copies) {
-            slots[i] = Some(result);
+    let plan = Plan::new(jobs);
+    let passes: Vec<&Pass> = plan.passes.iter().collect();
+    let (raw, govs): (Vec<Raw>, Vec<Option<Governor>>) =
+        execute(passes, &Pass::run, Permits::PerItem)
+            .into_iter()
+            .map(|ran| match ran {
+                Ok((raw, gov)) => (Ok(raw), gov),
+                Err(failure) => (Err(failure), None),
+            })
+            .unzip();
+    // Between the waves: a replay its baseline pass provably repeats
+    // takes that pass's result instead of running.
+    let mut replayed: Vec<Option<Result<SimStats, JobFailure>>> =
+        raw.iter().map(|_| None).collect();
+    let mut wave2 = Vec::new();
+    for ((p, pass), gov) in plan.passes.iter().enumerate().zip(govs) {
+        let Some(job) = &pass.ideal else { continue };
+        // Only a failed recording leaves no replay governor, and alone the
+        // ideal job would have died in the same pass.
+        let Some(gov) = gov else {
+            replayed[p] = Some(judged(&job.label(), &raw[p]));
+            continue;
+        };
+        let replay = Replay { job, gov };
+        let served = pass
+            .baseline
+            .map(|b| judged(&plan.passes[b].job.label(), &raw[b]))
+            .filter(|baseline| replay.is_served_by(baseline));
+        match served {
+            Some(result) => replayed[p] = Some(result),
+            None => wave2.push((p, replay)),
         }
     }
-    let results: Vec<_> = slots
-        .into_iter()
-        .map(|slot| slot.expect("every job is a cell of one distinct job"))
+    let (indices, wave2): (Vec<usize>, Vec<Replay>) = wave2.into_iter().unzip();
+    for (p, outcome) in indices.into_iter().zip(execute(wave2, &Replay::run, Permits::PerItem)) {
+        replayed[p] = Some(outcome.and_then(|result| result));
+    }
+    let results: Vec<_> = plan
+        .cells
+        .iter()
+        .map(|&(p, ideal)| match ideal {
+            true => replayed[p].clone().expect("every recording is replayed, served or failed"),
+            false => judged(&plan.passes[p].job.label(), &raw[p]),
+        })
         .collect();
     count_cells(&results);
     results
-}
-
-/// For each ideal job among distinct `jobs`, the index of its baseline
-/// job (`SimJob::runs_as` [`GovernorSpec::NoCompression`]), if any.
-fn baseline_cells(jobs: &[SimJob]) -> Vec<Option<usize>> {
-    jobs.iter()
-        .map(|ideal| {
-            let ideal = ideal.cfg.governor.is_ideal().then_some(ideal)?;
-            jobs.iter().position(|job| job.runs_as(ideal, GovernorSpec::NoCompression))
-        })
-        .collect()
-}
-
-/// Runs distinct jobs on the pool in two waves (see the module docs);
-/// results in job order.
-fn run_distinct(jobs: Vec<SimJob>) -> Vec<Result<SimStats, JobFailure>> {
-    let baseline = baseline_cells(&jobs);
-    let mut slots: Vec<Option<Result<SimStats, JobFailure>>> = jobs.iter().map(|_| None).collect();
-    let items = pool_items(jobs);
-    let cells: Vec<Vec<usize>> = items.iter().map(Item::cells).collect();
-    let mut replays = Vec::new();
-    for (cells, outcome) in cells.into_iter().zip(execute(items, &Item::run, Permits::PerItem)) {
-        match outcome {
-            Ok((results, replay)) => {
-                for (i, result) in results {
-                    slots[i] = Some(result);
-                }
-                replays.extend(replay);
-            }
-            Err(failure) => {
-                for i in cells {
-                    slots[i] = Some(Err(failure.clone()));
-                }
-            }
-        }
-    }
-    // Between the waves: a replay the batch's baseline cell provably
-    // repeats takes that cell's result instead of running.
-    let mut wave2 = Vec::new();
-    for replay in replays {
-        let served = baseline[replay.index]
-            .and_then(|b| slots[b].as_ref())
-            .filter(|result| replay.is_served_by(result))
-            .cloned();
-        match served {
-            Some(result) => slots[replay.index] = Some(result),
-            None => wave2.push(replay),
-        }
-    }
-    let indices: Vec<usize> = wave2.iter().map(|replay| replay.index).collect();
-    for (i, outcome) in indices.into_iter().zip(execute(wave2, &Replay::run, Permits::PerItem)) {
-        slots[i] = Some(outcome.and_then(|result| result));
-    }
-    slots.into_iter().map(|slot| slot.expect("every job is a cell of one item")).collect()
 }
 
 /// Runs one simulation job on the worker pool, blocking until a global
@@ -948,57 +893,53 @@ mod tests {
     }
 
     #[test]
-    fn ideal_jobs_pair_with_the_first_free_twin() {
+    fn cells_share_a_pass_only_with_matching_jobs() {
+        use App::{Crc32, Sha};
+        use GovernorSpec::{Acc, IdealAcc, NoCompression};
         let job = |app, gov| SimJob::new(app, 0.01, SimConfig::table1().with_governor(gov));
+        let nvmr = |job: SimJob| SimJob { cfg: job.cfg.with_design(EhsDesign::Nvmr), ..job };
+        let starved = |job: SimJob| job.with_budget(StepBudget::insts(9));
         let kagura = GovernorSpec::AccKagura(Default::default());
         let ideal_kagura = GovernorSpec::IdealAccKagura(Default::default());
-        let jobs = vec![
-            job(App::Sha, GovernorSpec::IdealAcc), // 0
-            job(App::Sha, kagura),                 // 1
-            job(App::Crc32, GovernorSpec::Acc),    // 2
-            job(App::Sha, GovernorSpec::Acc),      // 3
-            job(App::Sha, ideal_kagura),           // 4
-            job(App::Sha, GovernorSpec::IdealAcc), // 5: no twin left
-            job(App::Crc32, GovernorSpec::IdealAcc).with_budget(StepBudget::insts(9)), // 6
-            SimJob::new(
-                // 7: NvMR
-                App::Crc32,
-                0.01,
-                SimConfig::table1()
-                    .with_governor(GovernorSpec::IdealAcc)
-                    .with_design(EhsDesign::Nvmr),
-            ),
-            job(App::Crc32, GovernorSpec::IdealAcc), // 8
+        let mut fpc = job(Sha, Acc);
+        fpc.cfg.algorithm = ehs_compress::Algorithm::Fpc;
+        let mut seeded = job(Sha, Acc);
+        seeded.cfg.trace_seed += 1;
+        // Each cell, the pass it reads, and whether it reads that pass's
+        // replay (an ideal cell) or its run.
+        let table = [
+            (job(Sha, IdealAcc), 0, true),
+            (job(Sha, kagura), 1, false),
+            (job(Crc32, Acc), 2, false),
+            (job(Sha, Acc), 0, false), // the twin of cell 0 reads its recording
+            (job(Sha, ideal_kagura), 1, true),
+            (job(Sha, IdealAcc), 0, true), // a repeat shares a pass
+            (starved(job(Crc32, IdealAcc)), 3, true), // a budget blocks sharing
+            (nvmr(job(Crc32, IdealAcc)), 4, true), // so does a design
+            (job(Crc32, IdealAcc), 2, true),
+            (job(Sha, NoCompression), 5, false),
+            (nvmr(job(Sha, NoCompression)), 6, false),
+            (nvmr(job(Sha, IdealAcc)), 7, true),
+            (starved(job(Sha, IdealAcc)), 8, true),
+            (SimJob::new(Sha, 0.02, job(Sha, Acc).cfg), 9, false), // a scale
+            (fpc.clone(), 10, false),                              // an algorithm
+            (seeded, 11, false),                                   // a trace seed
+            (job(Crc32, Acc), 2, false),
+            (fpc, 10, false),
         ];
-        let cells: Vec<Vec<usize>> = pool_items(jobs).iter().map(Item::cells).collect();
+        let plan = Plan::new(table.iter().map(|(job, ..)| job.clone()).collect());
+        let cells: Vec<(usize, bool)> = table.iter().map(|&(_, p, ideal)| (p, ideal)).collect();
+        assert_eq!(plan.cells, cells);
+        for ((job, ..), &(p, ideal)) in table.iter().zip(&plan.cells) {
+            let pass = &plan.passes[p];
+            let read = if ideal { pass.ideal.as_ref() } else { Some(&pass.job) };
+            assert_eq!(read, Some(job), "a cell reads an unequal job");
+        }
+        let baselines: Vec<Option<usize>> = plan.passes.iter().map(|pass| pass.baseline).collect();
+        let (b, n) = (Some(5), None);
         assert_eq!(
-            cells,
-            vec![vec![3, 0], vec![1, 4], vec![2, 8], vec![5], vec![6], vec![7]],
-            "twins pair first-come by submission order; a budget or design difference blocks it"
-        );
-    }
-
-    #[test]
-    fn ideal_jobs_find_their_baseline() {
-        let job = |app, gov| SimJob::new(app, 0.01, SimConfig::table1().with_governor(gov));
-        let nvmr = |mut job: SimJob| {
-            job.cfg.design = EhsDesign::Nvmr;
-            job
-        };
-        let ideal_kagura = GovernorSpec::IdealAccKagura(Default::default());
-        let jobs = vec![
-            job(App::Sha, GovernorSpec::IdealAcc),            // 0
-            job(App::Sha, GovernorSpec::Acc),                 // 1
-            nvmr(job(App::Sha, GovernorSpec::NoCompression)), // 2
-            job(App::Sha, ideal_kagura),                      // 3
-            job(App::Sha, GovernorSpec::NoCompression),       // 4
-            nvmr(job(App::Sha, GovernorSpec::IdealAcc)),      // 5
-            job(App::Crc32, GovernorSpec::IdealAcc),          // 6: no baseline
-            job(App::Sha, GovernorSpec::IdealAcc).with_budget(StepBudget::insts(9)), // 7
-        ];
-        assert_eq!(
-            baseline_cells(&jobs),
-            vec![Some(4), None, None, Some(4), None, Some(2), None, None],
+            baselines,
+            [b, b, n, n, n, n, n, Some(6), n, n, n, n],
             "a baseline must match its ideal job in app, design and budget"
         );
     }
@@ -1009,11 +950,8 @@ mod tests {
         rec.on_power_failure();
         rec.on_reboot();
         let trace = rec.into_oracle_trace().expect("recorder yields a trace");
-        let replay = Replay {
-            index: 0,
-            job: SimJob::new(App::Sha, 0.01, SimConfig::table1()),
-            gov: Governor::replay_acc(trace),
-        };
+        let job = SimJob::new(App::Sha, 0.01, SimConfig::table1());
+        let replay = Replay { job: &job, gov: Governor::replay_acc(trace) };
         let run = |completed, power_cycle_count| {
             Ok(SimStats { completed, power_cycle_count, ..SimStats::default() })
         };
@@ -1024,27 +962,6 @@ mod tests {
         let panicked = JobFailure::Panicked { message: String::new() };
         for failure in [timed_out, panicked, JobFailure::WorkerDied] {
             assert!(!replay.is_served_by(&Err(failure.clone())), "{failure} serves nothing");
-        }
-    }
-
-    #[test]
-    fn equal_jobs_share_one_distinct_job() {
-        let job = |app, scale| SimJob::new(app, scale, SimConfig::table1());
-        let mut fpc = job(App::Sha, 0.01);
-        fpc.cfg.algorithm = ehs_compress::Algorithm::Fpc;
-        let jobs = vec![
-            job(App::Sha, 0.01),   // 0
-            job(App::Crc32, 0.01), // 1
-            job(App::Sha, 0.01),   // 2: repeats 0
-            job(App::Sha, 0.02),   // 3: scale differs
-            fpc.clone(),           // 4: algorithm differs
-            job(App::Crc32, 0.01), // 5: repeats 1
-            fpc,                   // 6: repeats 4
-        ];
-        let (distinct, cells) = distinct_jobs(jobs.clone());
-        assert_eq!(cells, vec![vec![0, 2], vec![1, 5], vec![3], vec![4, 6]]);
-        for (job, cells) in distinct.iter().zip(&cells) {
-            assert!(cells.iter().all(|&i| jobs[i] == *job), "a cell joined an unequal job");
         }
     }
 
