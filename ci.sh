@@ -193,7 +193,8 @@ echo "== exit-code gate (usage=2, config=3, runtime=1) =="
 # Scripted callers assert on *why* an invocation failed, so the failure
 # classes must stay distinguishable (see kagura_bench::cli::CliError).
 SIMRUN="$(pwd)/target/release/simrun"
-cargo build --release --offline -q -p kagura-bench --bin simrun
+TRACEGEN="$(pwd)/target/release/tracegen"
+cargo build --release --offline -q -p kagura-bench --bin simrun --bin tracegen
 expect_exit() {
     local want="$1"; shift
     local rc=0
@@ -209,6 +210,8 @@ expect_exit 3 "$SIMRUN" sha --governor zorp       # config: bad enum value
 expect_exit 3 "$SIMRUN" nosuchapp                 # config: unknown app
 expect_exit 3 "$SIMRUN" sha --cap -1              # config: non-positive capacitance
 expect_exit 3 "$SIMRUN" sha --cache 100           # config: inconsistent cache geometry
+expect_exit 2 "$SIMRUN" sha --scale 0.01 --scale nan  # usage: repeated flag
+expect_exit 2 "$TRACEGEN" gen rfhome 3 --sede 5   # usage: misspelled flag
 expect_exit 2 "$REPRO" --scael 1                  # usage: misspelled flag
 expect_exit 3 "$REPRO" nosuchexperiment           # config: unknown experiment
 echo "exit codes distinguish usage/config/runtime failures"

@@ -77,10 +77,10 @@ use std::path::Path;
 use ehs_energy::PowerTrace;
 use ehs_sim::runner::default_trace;
 use ehs_sim::{CachescopeConfig, FaultKind, LeakscopeOptions, SimConfig, SimStats, Simulator};
-use ehs_telemetry::{ChromeTraceSink, JsonlSink, Sink, Stamped};
+use ehs_telemetry::{ChromeTraceSink, JsonlSink, MetricsFold, Sink, Stamped};
 use ehs_workloads::App;
 use kagura_bench::cachescope::{self, ScopeLabels};
-use kagura_bench::cli::{validate_args, CliError, FlagSpec};
+use kagura_bench::cli::{validate_args, Args, CliError, FlagSpec};
 use kagura_bench::leakscope;
 use kagura_bench::vocab::{Resolved, Settings};
 
@@ -101,17 +101,22 @@ fn usage() {
 }
 
 /// Fans one event stream out to the optional JSONL, Chrome-trace and
-/// flight-record sinks, so one instrumented run can feed all outputs.
-/// The flight sink sees only the decision-relevant subset.
+/// flight-record sinks and the metrics fold, so one instrumented run can
+/// feed all outputs. The flight sink sees only the decision-relevant
+/// subset.
 #[derive(Default)]
 struct TeeSink {
     jsonl: Option<JsonlSink<BufWriter<File>>>,
     chrome: Option<ChromeTraceSink>,
     flight: Option<JsonlSink<BufWriter<File>>>,
+    metrics: Option<MetricsFold>,
 }
 
 impl Sink for TeeSink {
     fn record(&mut self, ev: &Stamped) {
+        if let Some(m) = &mut self.metrics {
+            m.record(ev);
+        }
         if let Some(j) = &mut self.jsonl {
             j.record(ev);
         }
@@ -169,43 +174,22 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec::value("--leak-secret"),
 ];
 
-struct Args(Vec<String>);
-
-impl Args {
-    fn flag(&self, name: &str) -> Option<&str> {
-        self.0.iter().position(|a| a == name).and_then(|i| self.0.get(i + 1)).map(String::as_str)
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.0.iter().any(|a| a == name)
-    }
-
-    /// The value of flag `name` parsed as a number, if given; `what`
-    /// names it in the error.
-    fn number<T: std::str::FromStr>(&self, name: &str, what: &str) -> Result<Option<T>, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        self.flag(name).map(|s| s.parse().map_err(|e| format!("bad {what}: {e}"))).transpose()
-    }
-}
-
 /// Resolves the command line's settings through the shared vocabulary
 /// ([`kagura_bench::vocab`]); `simrun` itself only parses the numbers.
 fn build_config(app: &str, args: &Args) -> Result<Resolved, String> {
     let mut resolved = Settings {
         app,
         scale: args.number("--scale", "scale")?,
-        governor: args.flag("--governor"),
-        design: args.flag("--design"),
-        algorithm: args.flag("--algorithm"),
-        trace: args.flag("--trace"),
+        governor: args.value("--governor"),
+        design: args.value("--design"),
+        algorithm: args.value("--algorithm"),
+        trace: args.value("--trace"),
         seed: args.number("--seed", "seed")?,
         cache: args.number("--cache", "cache size")?,
         ways: args.number("--ways", "way count")?,
         block: args.number("--block", "block size")?,
         cap: args.number("--cap", "capacitance")?,
-        extension: args.flag("--extension"),
+        extension: args.value("--extension"),
     }
     .resolve()?;
     resolved.cfg.audit_strict = args.has("--audit-strict");
@@ -372,7 +356,7 @@ fn run_leakscope(
         ));
     }
     let mut opts = LeakscopeOptions::default();
-    if let Some(hex) = args.flag("--leak-secret") {
+    if let Some(hex) = args.value("--leak-secret") {
         let bytes = leakscope::from_hex(hex)
             .map_err(|e| CliError::Config(format!("bad --leak-secret: {e}")))?;
         opts.secret = bytes.try_into().map_err(|_| {
@@ -427,30 +411,25 @@ fn run() -> Result<(), CliError> {
     if raw.first().map(String::as_str) == Some("serve") {
         return kagura_bench::serve::run_serve(&raw[1..]);
     }
-    // Validate the whole vector up front (unknown flags, missing
-    // values, stray positionals) so no simulation starts on a command
-    // line that doesn't mean what the user typed.
-    if let Err(e) = validate_args(&raw, FLAGS, 1) {
+    // Validate the whole vector up front (unknown or repeated flags,
+    // missing values, stray positionals) so no simulation starts on a
+    // command line that doesn't mean what the user typed.
+    let args = validate_args(&raw, FLAGS, 1).map_err(|e| {
         usage();
-        return Err(CliError::Usage(e));
-    }
-    let args = Args(raw);
-    let Some(app_name) = args.0.first() else {
+        CliError::Usage(e)
+    })?;
+    let Some(app_name) = args.positionals().first() else {
         usage();
         return Err(CliError::Usage("missing app".into()));
     };
     let Resolved { app, scale, cfg, .. } =
         build_config(app_name, &args).map_err(CliError::Config)?;
 
-    let inject = match args.flag("--inject-at") {
-        Some(n) => {
-            let at: u64 =
-                n.parse().map_err(|e| CliError::Config(format!("bad --inject-at: {e}")))?;
-            if at == 0 {
-                return Err(CliError::Config(
-                    "--inject-at is 1-based: the first boundary is 1".into(),
-                ));
-            }
+    let inject = match args.number::<u64>("--inject-at", "--inject-at").map_err(CliError::Config)? {
+        Some(0) => {
+            return Err(CliError::Config("--inject-at is 1-based: the first boundary is 1".into()))
+        }
+        Some(at) => {
             if cfg.governor.is_ideal() {
                 return Err(CliError::Config(
                     "--inject-at cannot target ideal two-phase governors (oracle replay \
@@ -458,7 +437,7 @@ fn run() -> Result<(), CliError> {
                         .into(),
                 ));
             }
-            let kind = match args.flag("--inject-fault").unwrap_or("power") {
+            let kind = match args.value("--inject-fault").unwrap_or("power") {
                 "power" => FaultKind::PowerFailure,
                 "torn" => FaultKind::TornCheckpoint { persist_blocks: 0 },
                 "corrupt" => FaultKind::CorruptPayload { bit: 5 },
@@ -474,14 +453,14 @@ fn run() -> Result<(), CliError> {
         }
     };
 
-    if let Some(leak_file) = args.flag("--leakscope") {
+    if let Some(leak_file) = args.value("--leakscope") {
         return run_leakscope(leak_file, app, &args, &cfg, inject.is_some());
     }
     if args.has("--leak-secret") {
         return Err(CliError::Usage("--leak-secret needs --leakscope".into()));
     }
 
-    let trace = match args.flag("--trace-file") {
+    let trace = match args.value("--trace-file") {
         Some(path) => {
             let f = File::open(path).map_err(|e| CliError::Runtime(format!("{path}: {e}")))?;
             // TraceError names the offending line; prepend the file.
@@ -505,12 +484,12 @@ fn run() -> Result<(), CliError> {
     if let Some((at, kind)) = inject {
         eprintln!("injecting {kind:?} after executed instruction {at}");
     }
-    let events_path = args.flag("--emit-events");
-    let chrome_path = args.flag("--chrome-trace");
-    let flight_path = args.flag("--flight-record");
+    let events_path = args.value("--emit-events");
+    let chrome_path = args.value("--chrome-trace");
+    let flight_path = args.value("--flight-record");
     let instrumented = events_path.is_some() || chrome_path.is_some() || flight_path.is_some();
-    let scope_path = args.flag("--cachescope");
-    let scope = match args.flag("--cachescope-period") {
+    let scope_path = args.value("--cachescope");
+    let scope = match args.value("--cachescope-period") {
         Some(p) => {
             if scope_path.is_none() {
                 return Err(CliError::Usage("--cachescope-period needs --cachescope".into()));
@@ -524,7 +503,8 @@ fn run() -> Result<(), CliError> {
         }
         None => CachescopeConfig::default(),
     };
-    let mut sink = TeeSink::default();
+    let mut sink =
+        TeeSink { metrics: instrumented.then(MetricsFold::default), ..TeeSink::default() };
     let open = |p: &str| {
         JsonlSink::create(Path::new(p)).map_err(|e| CliError::Runtime(format!("{p}: {e}")))
     };
@@ -550,7 +530,7 @@ fn run() -> Result<(), CliError> {
     }
     let observed = sim.run_observed();
     let stats = observed.stats;
-    let metrics = instrumented.then_some(observed.metrics);
+    let metrics = sink.metrics.take().map(|m| m.finish(stats.checkpoints, stats.sim_time.micros()));
 
     for (stream, path) in [(&sink.jsonl, events_path), (&sink.flight, flight_path)] {
         if let (Some(err), Some(p)) = (stream.as_ref().and_then(JsonlSink::error), path) {

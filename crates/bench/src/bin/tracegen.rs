@@ -17,6 +17,7 @@ use std::process::ExitCode;
 
 use ehs_energy::PowerTrace;
 use ehs_model::Power;
+use kagura_bench::cli::{validate_args, Args, CliError, FlagSpec};
 
 fn usage() {
     eprintln!("usage: tracegen gen <rfhome|solar|thermal> <len> [--seed S] [--out FILE]");
@@ -68,45 +69,55 @@ fn print_stats(trace: &PowerTrace) {
     println!("profile         : [{line}]");
 }
 
-fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let get_flag = |name: &str| -> Option<String> {
-        args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-    };
-    match args.first().map(String::as_str) {
-        Some("gen") => {
-            let kind = args.get(1).ok_or("gen needs a source: rfhome | solar | thermal")?;
+/// Everything `tracegen` accepts: the whole argument vector is checked
+/// against it (and against three positionals at most) before any trace
+/// is read or written, so a misspelled or repeated flag is a usage
+/// error, never a silently ignored option.
+const FLAGS: &[FlagSpec] = &[FlagSpec::value("--seed"), FlagSpec::value("--out")];
+
+fn run() -> Result<(), CliError> {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = validate_args(&raw, FLAGS, 3).map_err(CliError::Usage)?;
+    match args.positionals().first().map(String::as_str) {
+        Some(command @ ("gen" | "constant" | "stats")) => {
+            run_command(command, &args).map_err(CliError::Runtime)
+        }
+        _ => Err(CliError::Usage("unknown command".into())),
+    }
+}
+
+fn run_command(command: &str, args: &Args) -> Result<(), String> {
+    let pos = args.positionals();
+    match command {
+        "gen" => {
+            let kind = pos.get(1).ok_or("gen needs a source: rfhome | solar | thermal")?;
             let kind = kagura_bench::vocab::trace_kind(kind)?;
-            let len: usize = args
+            let len: usize = pos
                 .get(2)
                 .and_then(|l| l.parse().ok())
                 .filter(|&l| l > 0)
                 .ok_or("gen needs a positive sample count")?;
-            let seed: u64 = get_flag("--seed")
-                .map(|s| s.parse().map_err(|e| format!("bad seed: {e}")))
-                .transpose()?
-                .unwrap_or(42);
+            let seed = args.number("--seed", "seed")?.unwrap_or(42);
             let trace = PowerTrace::generate(kind, seed, len);
-            write_out(&trace, get_flag("--out").as_deref()).map_err(|e| e.to_string())?;
-            Ok(())
+            write_out(&trace, args.value("--out")).map_err(|e| e.to_string())
         }
-        Some("constant") => {
-            let uw: f64 = args
+        "constant" => {
+            let uw: f64 = pos
                 .get(1)
                 .and_then(|l| l.parse().ok())
                 .filter(|&u| u >= 0.0)
                 .ok_or("constant needs a non-negative power in uW")?;
-            let len: usize = args
+            let len: usize = pos
                 .get(2)
                 .and_then(|l| l.parse().ok())
                 .filter(|&l| l > 0)
                 .ok_or("constant needs a positive sample count")?;
             let trace = PowerTrace::constant(Power::from_microwatts(uw), len);
-            write_out(&trace, get_flag("--out").as_deref()).map_err(|e| e.to_string())?;
-            Ok(())
+            write_out(&trace, args.value("--out")).map_err(|e| e.to_string())
         }
-        Some("stats") => {
-            let path = args.get(1).ok_or("stats needs a trace file")?;
+        // `stats`, the one command left.
+        _ => {
+            let path = pos.get(1).ok_or("stats needs a trace file")?;
             let f = File::open(path).map_err(|e| format!("{path}: {e}"))?;
             // TraceError carries the offending line; prepend the file.
             let trace =
@@ -114,19 +125,20 @@ fn run() -> Result<(), String> {
             print_stats(&trace);
             Ok(())
         }
-        _ => {
-            usage();
-            Err("unknown command".into())
-        }
     }
 }
 
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
+        // Usage errors exit 2 after the usage text, failures exit 1 (see
+        // `CliError`).
         Err(e) => {
+            if let CliError::Usage(_) = e {
+                usage();
+            }
             let _ = writeln!(io::stderr(), "tracegen: {e}");
-            ExitCode::FAILURE
+            ExitCode::from(e.exit_code())
         }
     }
 }

@@ -5,9 +5,10 @@
 //! (`simrun`) or mis-filed as an experiment id (`repro`), so
 //! `--cachescope-peroid 100` ran a full simulation with the option
 //! simply dropped. These helpers make unknown flags a hard error that
-//! names the nearest valid flag, and let `simrun`-style positional
-//! scanners validate the whole argument vector up front (flag arity
-//! included) before any simulation starts.
+//! names the nearest valid flag. [`validate_args`] checks the whole
+//! argument vector up front (flag arity and repeats included) before
+//! any simulation starts, and its [`Args`] is the one place `simrun`,
+//! `simrun serve` and `tracegen` read their flags from.
 
 /// A binary-level failure carrying its process exit class.
 ///
@@ -127,9 +128,47 @@ impl FlagSpec {
     }
 }
 
-/// Validates a raw argument vector against a flag table: every
-/// `--flag` must be known, value flags must have their value, and at
-/// most `max_positionals` non-flag arguments may appear.
+/// A command line checked by [`validate_args`]: each given flag once,
+/// with its value when it takes one, and the positionals in order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Args {
+    flags: Vec<(&'static str, Option<String>)>,
+    positionals: Vec<String>,
+}
+
+impl Args {
+    /// The value of flag `name`, if given.
+    pub fn value(&self, name: &str) -> Option<&str> {
+        self.flags.iter().find(|(n, _)| *n == name).and_then(|(_, v)| v.as_deref())
+    }
+
+    /// Whether flag `name` was given (a switch, or a flag with a value).
+    pub fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(n, _)| *n == name)
+    }
+
+    /// The non-flag arguments, in order.
+    pub fn positionals(&self) -> &[String] {
+        &self.positionals
+    }
+
+    /// The value of flag `name` parsed as a number, if given; `what`
+    /// names it in the error (`bad {what}: …`).
+    ///
+    /// # Errors
+    ///
+    /// Returns the parse error when the value is not a `T`.
+    pub fn number<T: std::str::FromStr>(&self, name: &str, what: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.value(name).map(|s| s.parse().map_err(|e| format!("bad {what}: {e}"))).transpose()
+    }
+}
+
+/// Parses a raw argument vector against a flag table: every `--flag`
+/// must be known and given at most once, value flags must have their
+/// value, and at most `max_positionals` non-flag arguments may appear.
 ///
 /// # Errors
 ///
@@ -139,31 +178,33 @@ pub fn validate_args(
     args: &[String],
     flags: &[FlagSpec],
     max_positionals: usize,
-) -> Result<(), String> {
+) -> Result<Args, String> {
     let known: Vec<&str> = flags.iter().map(|f| f.name).collect();
-    let mut positionals = 0usize;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
+    let mut parsed = Args::default();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
         if arg.starts_with('-') && arg.len() > 1 {
             let Some(spec) = flags.iter().find(|f| f.name == *arg) else {
                 return Err(unknown_flag_error(arg, &known));
             };
-            if spec.takes_value {
-                i += 1;
-                if i >= args.len() {
-                    return Err(format!("flag `{}` needs a value", spec.name));
-                }
+            if parsed.has(spec.name) {
+                return Err(format!("flag `{}` given twice", spec.name));
             }
+            let value = if spec.takes_value {
+                let value = rest.next().ok_or_else(|| format!("flag `{arg}` needs a value"))?;
+                Some(value.clone())
+            } else {
+                None
+            };
+            parsed.flags.push((spec.name, value));
         } else {
-            positionals += 1;
-            if positionals > max_positionals {
+            if parsed.positionals.len() == max_positionals {
                 return Err(format!("unexpected argument `{arg}`"));
             }
+            parsed.positionals.push(arg.clone());
         }
-        i += 1;
     }
-    Ok(())
+    Ok(parsed)
 }
 
 #[cfg(test)]
@@ -210,6 +251,18 @@ mod tests {
         assert!(ok(&["sha", "extra"]).unwrap_err().contains("unexpected argument"));
         // A value that looks numeric is consumed by its flag, not
         // mistaken for a positional.
-        assert!(ok(&["sha", "--scale", "-1"]).is_ok());
+        assert_eq!(ok(&["sha", "--scale", "-1"]).unwrap().number("--scale", "scale"), Ok(Some(-1)));
+        // The parsed vector: each flag once, switches without a value.
+        let args = ok(&["--json", "sha", "--scale", "0.5"]).unwrap();
+        assert_eq!(args.positionals(), ["sha"]);
+        assert_eq!(args.value("--scale"), Some("0.5"));
+        assert!(args.has("--json") && args.value("--json").is_none());
+        assert!(!ok(&["sha"]).unwrap().has("--scale"));
+        let err = args.number::<u32>("--scale", "scale").unwrap_err();
+        assert!(err.starts_with("bad scale: "), "{err}");
+        for repeated in [["--scale", "1", "--scale", "nan"], ["--json", "sha", "--json", "x"]] {
+            let err = ok(&repeated).unwrap_err();
+            assert!(err.contains("given twice"), "{err}");
+        }
     }
 }

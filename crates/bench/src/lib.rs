@@ -23,7 +23,7 @@ pub mod serve;
 pub mod vocab;
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -222,12 +222,6 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         line(row);
     }
-}
-
-/// Ensures `dir` exists and returns it (test helper).
-pub fn ensure_dir(dir: &Path) -> &Path {
-    fs::create_dir_all(dir).expect("create dir");
-    dir
 }
 
 #[cfg(test)]

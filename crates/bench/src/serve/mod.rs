@@ -121,15 +121,8 @@ impl ServeOptions {
     /// [`CliError::Usage`] for unknown flags/missing values,
     /// [`CliError::Config`] for values that parse but are invalid.
     pub fn parse(args: &[String]) -> Result<ServeOptions, CliError> {
-        validate_args(args, FLAGS, 0).map_err(CliError::Usage)?;
-        let flag = |name: &str| {
-            args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
-        };
-        let parse_n = |name: &str| -> Result<Option<u64>, CliError> {
-            flag(name)
-                .map(|v| v.parse().map_err(|e| CliError::Config(format!("bad {name}: {e}"))))
-                .transpose()
-        };
+        let args = validate_args(args, FLAGS, 0).map_err(CliError::Usage)?;
+        let parse_n = |name: &str| args.number::<u64>(name, name).map_err(CliError::Config);
         let workers = match parse_n("--workers")? {
             Some(0) => return Err(CliError::Config("--workers must be positive".into())),
             Some(n) => n as usize,
@@ -150,9 +143,9 @@ impl ServeOptions {
             max_wall: Some(Duration::from_millis(deadline_ms.unwrap_or(30_000))),
         };
         Ok(ServeOptions {
-            tcp: flag("--tcp").map(str::to_string),
-            port_file: flag("--port-file").map(PathBuf::from),
-            state: flag("--state").map(PathBuf::from),
+            tcp: args.value("--tcp").map(str::to_string),
+            port_file: args.value("--port-file").map(PathBuf::from),
+            state: args.value("--state").map(PathBuf::from),
             workers,
             queue_depth: parse_n("--queue-depth")?.unwrap_or(8) as usize,
             cache_capacity: parse_n("--cache-capacity")?.unwrap_or(256).max(1) as usize,

@@ -179,11 +179,6 @@ impl CompressedCache {
         self.stats
     }
 
-    /// Resets the counters (contents retained).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// `(hits, misses)` of the compression-size memo — diagnostics only,
     /// never part of simulation results.
     pub fn size_memo_counters(&self) -> (u64, u64) {

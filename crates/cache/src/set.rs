@@ -123,14 +123,6 @@ impl CacheSet {
         let tick = self.ticks[idx];
         self.ticks.iter().filter(|&&t| t > tick).count() as u32
     }
-
-    /// Lines in LRU-first order (oldest first), as indices.
-    #[cfg(test)]
-    pub fn lru_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.sort_by_key(|&i| self.ticks[i]);
-        order
-    }
 }
 
 #[cfg(test)]
@@ -176,12 +168,6 @@ mod tests {
         assert_eq!(set.rank_of(2), 0); // tick 20 = MRU
         assert_eq!(set.rank_of(0), 1);
         assert_eq!(set.rank_of(1), 2); // tick 5 = LRU
-    }
-
-    #[test]
-    fn lru_order_sorts_oldest_first() {
-        let set = set(&[(1, 4, 10), (2, 4, 5), (3, 4, 20)]);
-        assert_eq!(set.lru_order(), vec![1, 0, 2]);
     }
 
     #[test]

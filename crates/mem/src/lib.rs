@@ -160,11 +160,6 @@ impl Nvm {
         self.stats
     }
 
-    /// Resets the traffic counters (contents are retained).
-    pub fn reset_stats(&mut self) {
-        self.stats = NvmStats::default();
-    }
-
     fn wrap(&self, addr: Address) -> u64 {
         (addr.get() & self.addr_mask) >> self.block_size.trailing_zeros()
     }
@@ -357,14 +352,5 @@ mod tests {
     fn wrong_sized_write_rejected() {
         let mut nvm = small_nvm(MemoryImage::zeros());
         nvm.write_block(Address::new(0), BlockData::zeroed(16));
-    }
-
-    #[test]
-    fn reset_stats_clears_counters_only() {
-        let mut nvm = small_nvm(MemoryImage::random(3));
-        let before = nvm.read_block(Address::new(0)).data;
-        nvm.reset_stats();
-        assert_eq!(nvm.stats().reads, 0);
-        assert_eq!(nvm.read_block(Address::new(0)).data, before);
     }
 }

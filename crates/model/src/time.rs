@@ -148,11 +148,6 @@ impl SimTime {
         self.0
     }
 
-    /// Returns the value in milliseconds.
-    pub fn millis(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// Returns the value in microseconds.
     pub fn micros(self) -> f64 {
         self.0 * 1e6

@@ -10,7 +10,7 @@ use ehs_energy::{
 use ehs_mem::Nvm;
 use ehs_model::inst::InstKind;
 use ehs_model::{Address, CompressorCost, Energy, Power, SimTime};
-use ehs_telemetry::{Counter, Event, Gauge, HistogramId, MetricsRegistry, Sink, Telemetry};
+use ehs_telemetry::{Event, Sink, Stamped};
 use ehs_workloads::{InstCursor, KernelProgram};
 use kagura_core::{CompressionGovernor, Mode};
 
@@ -338,39 +338,8 @@ pub enum FaultKind {
     },
 }
 
-/// Pre-registered metric handles for an instrumented run, resolved once
-/// at attach time so the hot path never looks anything up by name.
-#[derive(Debug, Clone, Copy)]
-struct TelemetryHandles {
-    compressed_fills: Counter,
-    bypassed_fills: Counter,
-    evictions: Counter,
-    checkpoint_blocks: Counter,
-    power_failures: Counter,
-    reboots: Counter,
-    voltage: Gauge,
-    cycle_insts: HistogramId,
-    charge_us: HistogramId,
-}
-
-impl TelemetryHandles {
-    fn register(m: &mut MetricsRegistry) -> Self {
-        TelemetryHandles {
-            compressed_fills: m.counter("fills_compressed"),
-            bypassed_fills: m.counter("fills_bypassed"),
-            evictions: m.counter("evictions"),
-            checkpoint_blocks: m.counter("checkpoint_blocks"),
-            power_failures: m.counter("power_failures"),
-            reboots: m.counter("reboots"),
-            voltage: m.gauge("voltage_v"),
-            cycle_insts: m.histogram("cycle_insts", &[1e2, 5e2, 1e3, 5e3, 1e4, 5e4, 1e5]),
-            charge_us: m.histogram("charge_us", &[1e2, 1e3, 1e4, 1e5, 1e6]),
-        }
-    }
-}
-
-/// Per-cycle flight-recorder bookkeeping, live only while telemetry is
-/// attached (the detached path never touches it beyond one `is_some`
+/// Per-cycle flight-recorder bookkeeping, part of the attached
+/// [`Events`] (the detached path never touches it beyond one `is_some`
 /// branch per instrumented site).
 ///
 /// Tracks which compressed fills of the current power cycle were
@@ -423,6 +392,26 @@ impl FlightTracker {
         self.comps.clear();
         self.by_block.clear();
         self.ckpt_blocks = 0;
+    }
+}
+
+/// The attached event sink and the flight tracker behind its per-cycle
+/// [`Event::FlightRecord`]s: the tracker exists exactly when a sink does.
+struct Events<'p> {
+    sink: &'p mut dyn Sink,
+    flight: FlightTracker,
+}
+
+impl Events<'_> {
+    /// Stamps and records one event.
+    fn emit(&mut self, t_us: f64, cycle: u64, event: Event) {
+        self.sink.record(&Stamped { t_us, cycle, event });
+    }
+}
+
+impl std::fmt::Debug for Events<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Events").field("flight", &self.flight).finish_non_exhaustive()
     }
 }
 
@@ -523,8 +512,6 @@ pub struct Simulator<'p> {
     ledger_start_harvested: Energy,
     ledger_start_leak: Energy,
     ledger_start_stored: Energy,
-    /// Flight-recorder bookkeeping; only fed while telemetry is attached.
-    flight: FlightTracker,
 
     /// Recently missed DCache block indices, for IPEX's stream detector.
     recent_misses: Vec<u64>,
@@ -535,10 +522,10 @@ pub struct Simulator<'p> {
     shadow_i: ShadowTags,
     shadow_d: ShadowTags,
 
-    /// Event/metrics recording; `None` (the default) keeps every
-    /// instrumented site down to a single untaken branch, so uninstrumented
-    /// runs produce byte-identical results at unchanged speed.
-    telemetry: Option<(Telemetry<'p>, TelemetryHandles)>,
+    /// Event recording; `None` (the default) keeps every instrumented
+    /// site down to a single untaken branch, so uninstrumented runs
+    /// produce byte-identical results at unchanged speed.
+    events: Option<Events<'p>>,
     /// Cachescope latency attribution and snapshot state; `None` (the
     /// default) keeps every attribution site down to a single untaken
     /// branch. No observer turns a host shortcut off — each sees the same
@@ -552,9 +539,6 @@ pub struct Simulator<'p> {
 pub struct Observed {
     /// The run's statistics, identical to an unobserved run's.
     pub stats: SimStats,
-    /// Metrics of the attached telemetry sink, ending with an end-of-run
-    /// snapshot; empty without [`Simulator::attach_telemetry`].
-    pub metrics: MetricsRegistry,
     /// `Some` exactly when [`Simulator::attach_cachescope`] was called.
     pub cachescope: Option<CachescopeReport>,
     /// `Some` exactly when [`Simulator::attach_leak_timeline`] was called.
@@ -685,13 +669,12 @@ impl<'p> Simulator<'p> {
             ledger_start_harvested: Energy::ZERO,
             ledger_start_leak: Energy::ZERO,
             ledger_start_stored: initial_stored,
-            flight: FlightTracker::default(),
             recent_misses: Vec::new(),
             oracle_i: OracleMap::default(),
             oracle_d: OracleMap::default(),
             shadow_i,
             shadow_d,
-            telemetry: None,
+            events: None,
             cachescope: None,
         }
     }
@@ -708,15 +691,13 @@ impl<'p> Simulator<'p> {
         self.horizon.recompute();
     }
 
-    /// Attaches an event sink and metrics registry for the whole run and
-    /// turns on the governor's internal event log. The host shortcuts stay
-    /// on: events and metrics are identical to an [`ExecMode::Reference`]
-    /// run's. [`Simulator::run_observed`] returns the metrics.
+    /// Attaches an event sink for the whole run and turns on the
+    /// governor's internal event log. The host shortcuts stay on: the
+    /// events are identical to an [`ExecMode::Reference`] run's.
+    /// [`Simulator::run_observed`] flushes the sink.
     pub fn attach_telemetry(&mut self, sink: &'p mut dyn Sink) {
-        let mut t = Telemetry::new(sink);
-        let handles = TelemetryHandles::register(&mut t.metrics);
         self.gov.enable_event_log();
-        self.telemetry = Some((t, handles));
+        self.events = Some(Events { sink, flight: FlightTracker::default() });
     }
 
     /// Runs to program completion (or the simulated-time guard) and
@@ -762,22 +743,18 @@ impl<'p> Simulator<'p> {
         (stats, trace)
     }
 
-    /// Runs to completion like [`Simulator::run`] and returns every
-    /// attached observer's output alongside the stats. Telemetry gets a
-    /// final metrics snapshot and the cachescope a final boundary row, so
-    /// the last (possibly unfinished) power cycle is covered too.
+    /// Runs to completion like [`Simulator::run`], flushes the event
+    /// sink and returns every other attached observer's output alongside
+    /// the stats. The cachescope gets a final boundary row, so the last
+    /// (possibly unfinished) power cycle is covered too.
     pub fn run_observed(mut self) -> Observed {
         self.run_and_flush();
-        let metrics = match self.telemetry.take() {
-            Some((mut t, _)) => {
-                t.metrics.snapshot(self.cycles_done, self.phys.now.micros());
-                t.into_metrics()
-            }
-            None => MetricsRegistry::default(),
-        };
+        if let Some(events) = self.events.take() {
+            events.sink.flush();
+        }
         let cachescope = self.cachescope.is_some().then(|| self.take_cachescope_report());
         let leak_timeline = self.dcache.take_probe::<AccessTimeline>();
-        Observed { stats: self.finish(), metrics, cachescope, leak_timeline }
+        Observed { stats: self.finish(), cachescope, leak_timeline }
     }
 
     /// Attaches a cachescope: a [`CachescopeAggregator`] probe on each
@@ -835,9 +812,7 @@ impl<'p> Simulator<'p> {
 
     /// Records one cachescope boundary row — cumulative per-cache
     /// counters and latency attribution as of this power-cycle boundary
-    /// (or end of run) — and, when telemetry is also attached, mirrors
-    /// the headline values into the metrics registry so they ride the
-    /// per-cycle metric snapshots. No-op while detached.
+    /// (or end of run). No-op while detached.
     fn cachescope_cycle_boundary(&mut self) {
         if self.cachescope.is_none() {
             return;
@@ -849,26 +824,7 @@ impl<'p> Simulator<'p> {
         let dc = counters(&mut self.dcache);
         let cycle = self.cycles_done;
         let state = self.cachescope.as_deref_mut().expect("checked above");
-        let latency = state.attr;
-        state.cycles.push(CycleScope { cycle, icache: ic, dcache: dc, latency });
-        if let Some((t, _)) = self.telemetry.as_mut() {
-            let m = &mut t.metrics;
-            for (name, v) in [
-                ("cachescope_dcache_hits", dc.hits as f64),
-                ("cachescope_dcache_fills", dc.fills as f64),
-                ("cachescope_dcache_capacity_evictions", dc.capacity_evictions as f64),
-                ("cachescope_dcache_forced_evictions", dc.forced_evictions as f64),
-                ("cachescope_dcache_power_loss_evictions", dc.power_loss_evictions as f64),
-                ("cachescope_icache_hits", ic.hits as f64),
-                ("cachescope_tag_cycles", latency.tag_cycles as f64),
-                ("cachescope_decompress_cycles", latency.decompress_cycles as f64),
-                ("cachescope_nvm_cycles", latency.nvm_cycles as f64),
-                ("cachescope_writeback_cycles", latency.writeback_cycles as f64),
-            ] {
-                let g = m.gauge(name);
-                m.set(g, v);
-            }
-        }
+        state.cycles.push(CycleScope { cycle, icache: ic, dcache: dc, latency: state.attr });
     }
 
     /// Fires every source due at the [`Horizon`] just reached, in a fixed
@@ -904,11 +860,20 @@ impl<'p> Simulator<'p> {
     }
 
     /// Credits a hit on `addr`'s block to the flight recorder while
-    /// telemetry is attached — one untaken branch otherwise.
+    /// a sink is attached — one untaken branch otherwise.
     #[inline]
     fn flight_hit(&mut self, addr: Address, block_size: u32, dcache: bool) {
-        if self.telemetry.is_some() {
-            self.flight.on_hit(addr.block_index(block_size), dcache);
+        if let Some(events) = self.events.as_mut() {
+            events.flight.on_hit(addr.block_index(block_size), dcache);
+        }
+    }
+
+    /// Records `event`, stamped with the current time and power cycle,
+    /// while a sink is attached — one untaken branch otherwise.
+    #[inline]
+    fn emit(&mut self, event: Event) {
+        if let Some(events) = self.events.as_mut() {
+            events.emit(self.phys.now.micros(), self.cycles_done, event);
         }
     }
 
@@ -1205,24 +1170,19 @@ impl<'p> Simulator<'p> {
         row
     }
 
-    /// Audits a closed ledger row: an imbalance bumps
-    /// [`SimStats::ledger_violations`], emits [`Event::LedgerImbalance`]
-    /// when telemetry is attached, and aborts the run when the config
-    /// demands strict auditing (`--audit-strict`; the panic is contained
-    /// by the parallel pool's fault machinery in batch runs).
+    /// Audits the row just closed (its cycle is the current one): an
+    /// imbalance bumps [`SimStats::ledger_violations`], emits
+    /// [`Event::LedgerImbalance`] when a sink is attached, and aborts the
+    /// run when the config demands strict auditing (`--audit-strict`; the
+    /// panic is contained by the parallel pool's fault machinery in batch
+    /// runs).
     fn audit_ledger(&mut self, row: &LedgerRow) {
         if let Err(imbalance) = row.audit(ehs_energy::ledger::DEFAULT_EPSILON) {
             self.stats.ledger_violations += 1;
-            if let Some((t, _)) = self.telemetry.as_mut() {
-                t.emit(
-                    self.phys.now.micros(),
-                    row.cycle,
-                    Event::LedgerImbalance {
-                        imbalance_pj: imbalance.imbalance.picojoules(),
-                        tolerance_pj: imbalance.tolerance.picojoules(),
-                    },
-                );
-            }
+            self.emit(Event::LedgerImbalance {
+                imbalance_pj: imbalance.imbalance.picojoules(),
+                tolerance_pj: imbalance.tolerance.picojoules(),
+            });
             if self.cfg.audit_strict {
                 panic!("{imbalance} (strict ledger audit)");
             }
@@ -1263,36 +1223,17 @@ impl<'p> Simulator<'p> {
         if outcome.compressions > 0 || outcome.stored_compressed {
             self.gov.on_fill(outcome.stored_compressed);
         }
-        if !outcome.evicted.is_empty() {
-            self.gov.on_evictions(outcome.evicted.len() as u32);
-        }
-        if let Some((t, h)) = self.telemetry.as_mut() {
-            let t_us = self.phys.now.micros();
-            let cycle = self.cycles_done;
-            if outcome.stored_compressed {
-                t.metrics.inc(h.compressed_fills, 1);
-                t.emit(t_us, cycle, Event::CompressedFill { dcache: is_dcache });
-            } else {
-                t.metrics.inc(h.bypassed_fills, 1);
-                t.emit(t_us, cycle, Event::BypassedFill { dcache: is_dcache });
-            }
-            if !outcome.evicted.is_empty() {
-                t.metrics.inc(h.evictions, outcome.evicted.len() as u64);
-                t.emit(
-                    t_us,
-                    cycle,
-                    Event::Eviction { count: outcome.evicted.len() as u32, dcache: is_dcache },
-                );
-            }
-        }
+        self.emit(if outcome.stored_compressed {
+            Event::CompressedFill { dcache: is_dcache }
+        } else {
+            Event::BypassedFill { dcache: is_dcache }
+        });
+        self.retire_batch(&outcome.evicted, is_dcache);
         let block_size = self.cfg.system.dcache.block_size;
-        for e in &outcome.evicted {
-            self.retire(e, is_dcache);
-        }
         // Oracle attribution for the incoming block.
         if outcome.stored_compressed {
-            if self.telemetry.is_some() {
-                self.flight.on_compressed_fill(addr.block_index(block_size), is_dcache);
+            if let Some(events) = self.events.as_mut() {
+                events.flight.on_compressed_fill(addr.block_index(block_size), is_dcache);
             }
             if let Some(id) = self.gov.record_fill() {
                 let params =
@@ -1336,6 +1277,20 @@ impl<'p> Simulator<'p> {
         let ids: Vec<usize> = map.ids_in_set(set).collect();
         for id in ids {
             self.gov.mark_useful(id);
+        }
+    }
+
+    /// Retires the victims of one fill or fat write: the governor hears
+    /// how many left, one [`Event::Eviction`] records them, then each is
+    /// retired.
+    fn retire_batch(&mut self, evicted: &[Evicted], is_dcache: bool) {
+        if evicted.is_empty() {
+            return;
+        }
+        self.gov.on_evictions(evicted.len() as u32);
+        self.emit(Event::Eviction { count: evicted.len() as u32, dcache: is_dcache });
+        for e in evicted {
+            self.retire(e, is_dcache);
         }
     }
 
@@ -1487,16 +1442,15 @@ impl<'p> Simulator<'p> {
     }
 
     /// Stamps and forwards any controller events the governor logged
-    /// during the work just performed (mode switches fire inside
-    /// `on_mem_commit`/`on_voltage`, mid-step). One untaken branch when
-    /// telemetry is detached; one cheap emptiness check per loop
-    /// iteration when it is attached.
+    /// during the work just performed: after every step (mode switches
+    /// fire inside `on_mem_commit`/`on_voltage`, mid-step), and inside
+    /// the power-failure and reboot sequences. One untaken branch when
+    /// no sink is attached; one cheap emptiness check when one is.
     fn pump_gov_events(&mut self) {
-        if let Some((t, _)) = self.telemetry.as_mut() {
+        if let Some(events) = self.events.as_mut() {
             if self.gov.events_pending() {
-                let t_us = self.phys.now.micros();
-                let cycle = self.cycles_done;
-                self.gov.drain_events(|ev| t.emit(t_us, cycle, ev));
+                let (t_us, cycle) = (self.phys.now.micros(), self.cycles_done);
+                self.gov.drain_events(|ev| events.emit(t_us, cycle, ev));
             }
         }
     }
@@ -1567,20 +1521,7 @@ impl<'p> Simulator<'p> {
                     self.credit_deep_hit(addr, true);
                 }
                 self.gov.on_hit(&info, d_ways);
-                if !evicted.is_empty() {
-                    self.gov.on_evictions(evicted.len() as u32);
-                    if let Some((t, h)) = self.telemetry.as_mut() {
-                        t.metrics.inc(h.evictions, evicted.len() as u64);
-                        t.emit(
-                            self.phys.now.micros(),
-                            self.cycles_done,
-                            Event::Eviction { count: evicted.len() as u32, dcache: true },
-                        );
-                    }
-                    for e in &evicted {
-                        self.retire(e, true);
-                    }
-                }
+                self.retire_batch(&evicted, true);
             }
             None => {
                 // Miss: fetch from NVM, write-allocate with pending store.
@@ -1677,10 +1618,9 @@ impl<'p> Simulator<'p> {
             blocks += 1;
         });
         self.spend(EnergyCategory::CheckpointRestore, self.cfg.costs.sweep_boundary);
-        if let Some((t, h)) = self.telemetry.as_mut() {
-            self.flight.ckpt_blocks += blocks as u64;
-            t.metrics.inc(h.checkpoint_blocks, blocks as u64);
-            t.emit(self.phys.now.micros(), self.cycles_done, Event::Checkpoint { blocks });
+        if let Some(events) = self.events.as_mut() {
+            events.flight.ckpt_blocks += blocks as u64;
+            events.emit(self.phys.now.micros(), self.cycles_done, Event::Checkpoint { blocks });
         }
         self.last_persist = self.inst_index;
         self.horizon.sweep = Some(self.stats.executed_insts + self.sweep_region_live);
@@ -1791,8 +1731,7 @@ impl<'p> Simulator<'p> {
         self.icache.invalidate_all();
         self.dcache.invalidate_all();
         // After the invalidations so the cycle's power-loss evictions are
-        // already folded into the probe counters; before the telemetry
-        // block so mirrored gauges ride this cycle's metric snapshot.
+        // already folded into the probe counters.
         self.cachescope_cycle_boundary();
         self.oracle_i.clear();
         self.oracle_d.clear();
@@ -1807,61 +1746,54 @@ impl<'p> Simulator<'p> {
         // audit the ledger row (always on; the audit is a handful of
         // f64 compares per power cycle).
         let row = self.close_ledger_row();
-        if let Some((t, h)) = self.telemetry.as_mut() {
-            let t_us = self.phys.now.micros();
-            // The cycle being closed: its index is the number already
-            // recorded (pushed just below).
-            let cycle = self.cycles_done;
-            if self.cfg.design == EhsDesign::NvsramCache {
-                t.metrics.inc(h.checkpoint_blocks, ckpt_blocks as u64);
-                t.emit(t_us, cycle, Event::Checkpoint { blocks: ckpt_blocks });
-            }
-            if decode_faults > 0 {
-                t.emit(t_us, cycle, Event::DecodeFault { blocks: decode_faults });
-            }
-            self.gov.drain_events(|ev| t.emit(t_us, cycle, ev));
-            let wasted_fills = self.flight.wasted_fills();
+        // The boundary's events, all stamped with the cycle being closed
+        // (its index is the number already recorded, pushed just below):
+        // checkpoint, decode faults, the governor's, then the flight
+        // record and the failure itself.
+        if self.cfg.design == EhsDesign::NvsramCache {
+            self.emit(Event::Checkpoint { blocks: ckpt_blocks });
+        }
+        if decode_faults > 0 {
+            self.emit(Event::DecodeFault { blocks: decode_faults });
+        }
+        self.pump_gov_events();
+        if let Some(events) = self.events.as_mut() {
+            let (t_us, cycle) = (self.phys.now.micros(), self.cycles_done);
+            let flight = &events.flight;
+            let wasted_fills = flight.wasted_fills();
             let block_size = self.cfg.system.dcache.block_size as u64;
-            let ckpt_total = self.flight.ckpt_blocks + ckpt_blocks as u64;
             let (registers, mode) = match kagura {
                 Some((regs, Mode::Compression)) => (regs, "CM"),
                 Some((regs, Mode::Regular)) => (regs, "RM"),
                 None => ((0, 0, 0, 0, 0), "-"),
             };
-            t.emit(
-                t_us,
-                cycle,
-                Event::FlightRecord(ehs_telemetry::FlightRecord {
-                    insts: self.cycle.insts,
-                    mem_ops: self.cycle.loads + self.cycle.stores,
-                    predicted_remaining: registers.0,
-                    actual_remaining: registers.1,
-                    mode,
-                    late_compressions: self.flight.late_compressions(),
-                    wasted_fills,
-                    wasted_pj: (self.comp_cost.compress_energy * wasted_fills as f64).picojoules(),
-                    checkpoint_bytes: ckpt_total * block_size,
-                    harvested_pj: row.harvested.picojoules(),
-                    compress_pj: row.consumed[EnergyCategory::Compress].picojoules(),
-                    decompress_pj: row.consumed[EnergyCategory::Decompress].picojoules(),
-                    cache_other_pj: row.consumed[EnergyCategory::CacheOther].picojoules(),
-                    memory_pj: row.consumed[EnergyCategory::Memory].picojoules(),
-                    checkpoint_restore_pj: row.consumed[EnergyCategory::CheckpointRestore]
-                        .picojoules(),
-                    other_pj: row.consumed[EnergyCategory::Other].picojoules(),
-                    cap_leak_pj: row.cap_leak.picojoules(),
-                    delta_stored_pj: row.delta_stored.picojoules(),
-                }),
-            );
-            let voltage = self.phys.cap.voltage();
-            t.emit(t_us, cycle, Event::PowerFailure { insts: self.cycle.insts, voltage });
-            t.metrics.inc(h.power_failures, 1);
-            t.metrics.set(h.voltage, voltage);
-            t.metrics.observe(h.cycle_insts, self.cycle.insts as f64);
-            t.metrics.snapshot(cycle, t_us);
+            let record = ehs_telemetry::FlightRecord {
+                insts: self.cycle.insts,
+                mem_ops: self.cycle.loads + self.cycle.stores,
+                predicted_remaining: registers.0,
+                actual_remaining: registers.1,
+                mode,
+                late_compressions: flight.late_compressions(),
+                wasted_fills,
+                wasted_pj: (self.comp_cost.compress_energy * wasted_fills as f64).picojoules(),
+                checkpoint_bytes: (flight.ckpt_blocks + ckpt_blocks as u64) * block_size,
+                harvested_pj: row.harvested.picojoules(),
+                compress_pj: row.consumed[EnergyCategory::Compress].picojoules(),
+                decompress_pj: row.consumed[EnergyCategory::Decompress].picojoules(),
+                cache_other_pj: row.consumed[EnergyCategory::CacheOther].picojoules(),
+                memory_pj: row.consumed[EnergyCategory::Memory].picojoules(),
+                checkpoint_restore_pj: row.consumed[EnergyCategory::CheckpointRestore].picojoules(),
+                other_pj: row.consumed[EnergyCategory::Other].picojoules(),
+                cap_leak_pj: row.cap_leak.picojoules(),
+                delta_stored_pj: row.delta_stored.picojoules(),
+            };
+            events.emit(t_us, cycle, Event::FlightRecord(record));
+            let failure =
+                Event::PowerFailure { insts: self.cycle.insts, voltage: self.phys.cap.voltage() };
+            events.emit(t_us, cycle, failure);
+            events.flight.reset();
         }
         self.audit_ledger(&row);
-        self.flight.reset();
         self.stats.checkpoints += 1;
         if self.cfg.record_cycles {
             self.stats.power_cycles.push(self.cycle);
@@ -1897,17 +1829,9 @@ impl<'p> Simulator<'p> {
         self.phys.now +=
             SimTime::from_seconds(latency.get() as f64 / self.cfg.system.core.clock_hz);
         self.gov.on_reboot();
-        if let Some((t, h)) = self.telemetry.as_mut() {
-            let t_us = self.phys.now.micros();
-            let cycle = self.cycles_done;
-            let voltage = self.phys.cap.voltage();
-            let charge_us = (self.phys.now - hibernate_start).micros();
-            t.emit(t_us, cycle, Event::Reboot { charge_us, voltage });
-            self.gov.drain_events(|ev| t.emit(t_us, cycle, ev));
-            t.metrics.inc(h.reboots, 1);
-            t.metrics.set(h.voltage, voltage);
-            t.metrics.observe(h.charge_us, charge_us);
-        }
+        let charge_us = (self.phys.now - hibernate_start).micros();
+        self.emit(Event::Reboot { charge_us, voltage: self.phys.cap.voltage() });
+        self.pump_gov_events();
         self.running = true;
         true
     }
@@ -1932,33 +1856,35 @@ mod tests {
     }
 
     #[test]
-    fn cachescope_boundary_rows_mirror_into_metrics_when_telemetry_attached() {
-        use ehs_telemetry::NullSink;
+    fn a_boundary_emits_checkpoint_decode_fault_governor_events_flight_record_then_failure() {
+        use ehs_telemetry::VecSink;
 
-        let cfg = SimConfig::table1().with_governor(GovernorSpec::Acc);
-        let program = App::Sha.build(0.02);
+        let cfg = SimConfig::table1().with_governor(GovernorSpec::AccKagura(Default::default()));
+        let program = App::Jpegd.build(0.02);
         let trace = PowerTrace::generate(cfg.trace_kind, cfg.trace_seed, 400_000);
-        let mut sink = NullSink;
+        let mut sink = VecSink::new();
         let mut sim = Simulator::new(cfg, &program, &trace);
         sim.attach_telemetry(&mut sink);
-        sim.attach_cachescope(CachescopeConfig::default());
-        let Observed { stats, mut metrics, cachescope, .. } = sim.run_observed();
-        let report = cachescope.expect("cachescope attached");
-        assert!(stats.checkpoints >= 2, "run too short to cross a boundary");
-        // One row per power-cycle boundary plus the end-of-run row.
-        assert_eq!(report.cycles.len(), stats.checkpoints as usize + 1);
-        // Mirrored gauges hold the last boundary's cumulative values: the
-        // end-of-run row is cut after telemetry detaches. (`gauge` is
-        // get-or-register by name, so this finds the existing ids; a
-        // fresh registration would read 0.0 and fail below.)
-        let hits = metrics.gauge("cachescope_dcache_hits");
-        let last_boundary = report.cycles[report.cycles.len() - 2];
-        assert_eq!(metrics.gauge_value(hits), last_boundary.dcache.hits as f64);
-        assert!(metrics.gauge_value(hits) > 0.0);
-        for name in ["cachescope_tag_cycles", "cachescope_nvm_cycles"] {
-            let g = metrics.gauge(name);
-            assert!(metrics.gauge_value(g) > 0.0, "gauge {name} never mirrored");
-        }
+        // A corrupted checkpoint at a boundary past the first, so Kagura
+        // has history and logs an estimator sample there.
+        sim.arm_fault(10_000, FaultKind::CorruptPayload { bit: 5 });
+        assert_eq!(sim.run_observed().stats.decode_faults, 1);
+
+        let events = sink.into_events();
+        let fault = events
+            .iter()
+            .position(|e| matches!(e.event, Event::DecodeFault { .. }))
+            .expect("the decode fault is recorded");
+        let boundary = &events[fault - 1..fault + 4];
+        let kinds: Vec<&str> = boundary.iter().map(|e| e.event.kind()).collect();
+        assert_eq!(
+            kinds,
+            ["Checkpoint", "DecodeFault", "EstimatorSample", "FlightRecord", "PowerFailure"]
+        );
+        // One stamp for the whole boundary: the cycle it closes.
+        let stamp = (boundary[4].cycle, boundary[4].t_us.to_bits());
+        assert!(stamp.0 > 0);
+        assert!(boundary.iter().all(|e| (e.cycle, e.t_us.to_bits()) == stamp));
     }
 
     #[test]
@@ -2172,7 +2098,7 @@ mod tests {
     }
 
     fn check_instrumented_run(design: EhsDesign) {
-        use ehs_telemetry::VecSink;
+        use ehs_telemetry::{MetricsFold, VecSink};
 
         let cfg = SimConfig::table1()
             .with_design(design)
@@ -2185,7 +2111,7 @@ mod tests {
         let mut sink = VecSink::new();
         let mut sim = Simulator::new(cfg, &program, &trace);
         sim.attach_telemetry(&mut sink);
-        let Observed { stats, metrics, .. } = sim.run_observed();
+        let stats = sim.run_observed().stats;
 
         // Telemetry must observe, never perturb.
         assert_eq!(stats, plain, "{design}: telemetry perturbed the run");
@@ -2240,7 +2166,13 @@ mod tests {
             assert!(w[1].t_us >= w[0].t_us, "time went backwards");
             assert!(w[1].cycle >= w[0].cycle, "cycle index went backwards");
         }
-        // One metrics snapshot per closed cycle plus the end-of-run one.
+        // Folded into metrics: one snapshot per closed cycle plus the
+        // end-of-run one.
+        let mut fold = MetricsFold::default();
+        for e in &events {
+            fold.record(e);
+        }
+        let metrics = fold.finish(stats.checkpoints, stats.sim_time.micros());
         assert_eq!(metrics.snapshots().len(), stats.checkpoints as usize + 1);
     }
 

@@ -601,7 +601,7 @@ pub fn run_job(job: SimJob) -> Result<SimStats, JobFailure> {
 /// Each in-flight item holds one global worker permit; see the module
 /// docs for how this composes with [`run_concurrent`]. Panics in `f`
 /// propagate to the caller once the scope joins, renamed with the job
-/// index — callers that need containment instead use [`try_map`].
+/// index; [`run_batch`] is the entry point that contains them instead.
 pub fn map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -612,21 +612,6 @@ where
         .into_iter()
         .enumerate()
         .map(|(i, slot)| unwrap_contained(i, slot))
-        .collect()
-}
-
-/// Fault-contained parallel map: each item's panic or typed failure
-/// comes back as `Err(JobFailure)` in its own slot instead of unwinding
-/// through the whole batch. Result order matches submission order.
-pub fn try_map<T, R, F>(items: Vec<T>, f: F) -> Vec<Result<R, JobFailure>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> Result<R, JobFailure> + Sync,
-{
-    execute(items, &f, Permits::PerItem)
-        .into_iter()
-        .map(|slot| slot.and_then(|inner| inner))
         .collect()
 }
 
@@ -789,29 +774,6 @@ mod tests {
             let direct = run_app(job.app, job.scale, &job.cfg);
             assert_eq!(direct.sim_time, stats.sim_time, "batch result diverged for {:?}", job.app);
             assert_eq!(direct.total_cycles, stats.total_cycles);
-        }
-    }
-
-    #[test]
-    fn try_map_contains_panics_to_their_own_slot() {
-        set_max_workers(4);
-        let out = try_map((0..8).collect::<Vec<u64>>(), |i| {
-            if i == 5 {
-                panic!("boom at {i}");
-            }
-            Ok(i * 2)
-        });
-        for (i, slot) in out.iter().enumerate() {
-            if i == 5 {
-                match slot {
-                    Err(JobFailure::Panicked { message }) => {
-                        assert!(message.contains("boom at 5"), "wrong payload: {message}");
-                    }
-                    other => panic!("expected contained panic, got {other:?}"),
-                }
-            } else {
-                assert_eq!(*slot, Ok(i as u64 * 2), "healthy slot {i} corrupted");
-            }
         }
     }
 

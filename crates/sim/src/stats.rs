@@ -4,7 +4,7 @@
 use ehs_cache::CacheStats;
 use ehs_energy::EnergyBreakdown;
 use ehs_mem::NvmStats;
-use ehs_model::{Cycles, Energy, SimTime};
+use ehs_model::{Energy, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Kagura's register snapshot `(R_prev, R_mem, R_adjust, R_thres, R_evict)`.
@@ -215,23 +215,6 @@ impl SimStats {
     pub fn try_speedup_over(&self, baseline: &SimStats) -> Option<f64> {
         (self.completed && baseline.completed && self.sim_time.seconds() > 0.0)
             .then(|| baseline.sim_time.seconds() / self.sim_time.seconds())
-    }
-
-    /// Latency overhead helper: total stall cycles beyond 1 CPI.
-    pub fn stall_cycles(&self) -> u64 {
-        self.total_cycles.saturating_sub(self.executed_insts)
-    }
-
-    /// Convenience alias used by the benches: average power-cycle length.
-    pub fn mean_cycle_cycles(&self) -> Cycles {
-        if self.power_cycles.is_empty() {
-            Cycles::ZERO
-        } else {
-            Cycles::new(
-                self.power_cycles.iter().map(|c| c.cycles).sum::<u64>()
-                    / self.power_cycles.len() as u64,
-            )
-        }
     }
 }
 

@@ -235,7 +235,8 @@ fn assert_cachescope_matches(app: App, scale: f64, cfg: &SimConfig) {
     );
     // The attribution buckets exactly partition the run's cycles.
     assert_eq!(fast_rep.latency.total(), fast.total_cycles, "{app:?}");
-    assert!(!fast_rep.cycles.is_empty(), "{app:?} recorded no boundary rows");
+    // One boundary row per power failure plus the end-of-run row.
+    assert_eq!(fast_rep.cycles.len(), fast.checkpoints as usize + 1, "{app:?}");
     assert!(!fast_rep.snapshots.is_empty(), "{app:?} sampled no occupancy snapshots");
     // Probe counters agree with the caches' own stats.
     assert_eq!(fast_rep.dcache.counters.fills, fast.dcache.fills, "{app:?}");
@@ -335,9 +336,10 @@ fn leak_timeline_matches_between_loops_and_never_perturbs() {
 }
 
 /// Runs `app` with a `VecSink` attached in both exec modes and asserts
-/// identical stats, events and metrics snapshots, and stats identical to
-/// the unobserved run: the shortcuts stay on under telemetry, so every
-/// hit they commit must still reach the flight recorder.
+/// identical stats and events (the run's metrics are a fold of them),
+/// and stats identical to the unobserved run: the shortcuts stay on
+/// under telemetry, so every hit they commit must still reach the
+/// flight recorder.
 fn assert_telemetry_matches(program: &KernelProgram, cfg: &SimConfig) {
     let trace = default_trace(cfg);
     let run = |exec: ExecMode| observe(program, &trace, &cfg.clone().with_exec(exec), TELEMETRY);
@@ -346,7 +348,6 @@ fn assert_telemetry_matches(program: &KernelProgram, cfg: &SimConfig) {
     let what = format!("{} design={:?} gov={:?}", program.name(), cfg.design, cfg.governor);
     assert_eq!(fast.stats, reference.stats, "stats diverged under telemetry: {what}");
     assert_eq!(fast_events, ref_events, "events diverged between exec modes: {what}");
-    assert_eq!(fast.metrics, reference.metrics, "metrics diverged between exec modes: {what}");
     assert!(
         fast_events.iter().any(|e| matches!(e.event, Event::FlightRecord(_))),
         "no flight record: {what}"
@@ -415,7 +416,7 @@ fn every_observer_on_one_run_matches_each_alone() {
             let cfg = cfg.clone().with_exec(exec);
             let alone = |o: Observers| observe(&program, &trace, &cfg, o);
             let (together, events) = alone(all);
-            let (telemetry, telemetry_events) = alone(TELEMETRY);
+            let telemetry_events = alone(TELEMETRY).1;
             let scope = alone(Observers { scope: all.scope, ..Default::default() }).0;
             let leak =
                 alone(Observers { leak_capacity: all.leak_capacity, ..Default::default() }).0;
@@ -427,16 +428,6 @@ fn every_observer_on_one_run_matches_each_alone() {
             let (tl, tl_alone) = (together.leak_timeline.unwrap(), leak.leak_timeline.unwrap());
             assert_eq!(tl.records(), tl_alone.records(), "leak timeline changed: {what}");
             assert_eq!(tl.dropped(), tl_alone.dropped(), "{what}");
-            // The cachescope mirrors its boundary rows into extra gauges,
-            // registered after telemetry's own; everything else is equal.
-            let (snaps, alone_snaps) =
-                (together.metrics.snapshots(), telemetry.metrics.snapshots());
-            assert_eq!(snaps.len(), alone_snaps.len(), "{what}");
-            for (s, a) in snaps.iter().zip(alone_snaps) {
-                assert_eq!((s.cycle, s.t_us.to_bits()), (a.cycle, a.t_us.to_bits()), "{what}");
-                assert_eq!(s.counters, a.counters, "{what}");
-                assert_eq!(s.gauges[..a.gauges.len()], a.gauges[..], "{what}");
-            }
         }
     }
 }

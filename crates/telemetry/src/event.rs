@@ -9,6 +9,8 @@
 use serde_json::Value;
 
 use crate::jsonl;
+use crate::metrics::{Counter, Gauge, HistogramId, MetricsRegistry};
+use crate::sink::Sink;
 
 /// Kagura's register snapshot carried by [`Event::ModeSwitch`]:
 /// `(R_prev, R_mem, R_adjust, R_thres, R_evict)` at the switch.
@@ -476,6 +478,81 @@ impl Stamped {
     }
 }
 
+/// Folds one run's event stream into its metrics registry: fill,
+/// eviction, checkpoint, failure and reboot counters, the voltage gauge,
+/// the cycle-length and recharge histograms, and a snapshot of every
+/// counter and gauge at each `PowerFailure`, stamped with that event's
+/// cycle and time.
+///
+/// A sink like any other, so it shares a run with the JSONL, Chrome and
+/// flight streams; the metrics are a view of the events, not a second
+/// channel out of the simulator.
+#[derive(Debug, Clone)]
+pub struct MetricsFold {
+    registry: MetricsRegistry,
+    compressed_fills: Counter,
+    bypassed_fills: Counter,
+    evictions: Counter,
+    checkpoint_blocks: Counter,
+    power_failures: Counter,
+    reboots: Counter,
+    voltage: Gauge,
+    cycle_insts: HistogramId,
+    charge_us: HistogramId,
+}
+
+impl Default for MetricsFold {
+    fn default() -> Self {
+        let mut m = MetricsRegistry::default();
+        MetricsFold {
+            compressed_fills: m.counter("fills_compressed"),
+            bypassed_fills: m.counter("fills_bypassed"),
+            evictions: m.counter("evictions"),
+            checkpoint_blocks: m.counter("checkpoint_blocks"),
+            power_failures: m.counter("power_failures"),
+            reboots: m.counter("reboots"),
+            voltage: m.gauge("voltage_v"),
+            cycle_insts: m.histogram("cycle_insts", &[1e2, 5e2, 1e3, 5e3, 1e4, 5e4, 1e5]),
+            charge_us: m.histogram("charge_us", &[1e2, 1e3, 1e4, 1e5, 1e6]),
+            registry: m,
+        }
+    }
+}
+
+impl MetricsFold {
+    /// Closes the run with an end-of-run snapshot at `(cycle, t_us)` —
+    /// the run's closed power cycles and its final simulated time — so
+    /// the last, unfinished cycle is covered too.
+    pub fn finish(mut self, cycle: u64, t_us: f64) -> MetricsRegistry {
+        self.registry.snapshot(cycle, t_us);
+        self.registry
+    }
+}
+
+impl Sink for MetricsFold {
+    fn record(&mut self, ev: &Stamped) {
+        let m = &mut self.registry;
+        match ev.event {
+            Event::CompressedFill { .. } => m.inc(self.compressed_fills, 1),
+            Event::BypassedFill { .. } => m.inc(self.bypassed_fills, 1),
+            Event::Eviction { count, .. } => m.inc(self.evictions, count as u64),
+            Event::Checkpoint { blocks } => m.inc(self.checkpoint_blocks, blocks as u64),
+            Event::PowerFailure { insts, voltage } => {
+                m.inc(self.power_failures, 1);
+                m.set(self.voltage, voltage);
+                m.observe(self.cycle_insts, insts as f64);
+                m.snapshot(ev.cycle, ev.t_us);
+            }
+            Event::Reboot { charge_us, voltage } => {
+                m.inc(self.reboots, 1);
+                m.set(self.voltage, voltage);
+                m.observe(self.charge_us, charge_us);
+            }
+            _ => {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -627,5 +704,48 @@ mod tests {
         let unknown = serde_json::json!({"t_us": 1.0, "cycle": 0, "kind": "Nope"});
         let err = read_back(&unknown).unwrap_err();
         assert!(err.contains("unknown event kind"), "{err}");
+    }
+
+    #[test]
+    fn metrics_fold_counts_every_metric_event_and_snapshots_each_boundary() {
+        let at = |t_us: f64, cycle: u64, event: Event| Stamped { t_us, cycle, event };
+        let stream = [
+            at(0.5, 0, Event::CompressedFill { dcache: true }),
+            at(0.6, 0, Event::BypassedFill { dcache: false }),
+            at(0.7, 0, Event::Eviction { count: 3, dcache: true }),
+            at(1.0, 0, Event::Checkpoint { blocks: 5 }),
+            at(1.5, 0, Event::EstimatorSample { predicted_remaining: 9, actual_remaining: 8 }),
+            at(2.0, 0, Event::PowerFailure { insts: 4096, voltage: 2.0 }),
+            at(9.75, 1, Event::Reboot { charge_us: 7.75, voltage: 2.016 }),
+            at(12.0, 1, Event::Eviction { count: 2, dcache: false }),
+            at(20.0, 1, Event::PowerFailure { insts: 700, voltage: 1.99 }),
+        ];
+        let mut fold = MetricsFold::default();
+        for ev in &stream {
+            fold.record(ev);
+        }
+        let mut m = fold.finish(2, 25.0);
+
+        // Counters in registration order: fills compressed and bypassed,
+        // evictions, checkpoint blocks, power failures, reboots.
+        let snaps: Vec<_> = m
+            .snapshots()
+            .iter()
+            .map(|s| (s.cycle, s.t_us, s.counters.clone(), s.gauges.clone()))
+            .collect();
+        assert_eq!(
+            snaps,
+            vec![
+                (0, 2.0, vec![1, 1, 3, 5, 1, 0], vec![2.0]),
+                (1, 20.0, vec![1, 1, 5, 5, 2, 1], vec![1.99]),
+                (2, 25.0, vec![1, 1, 5, 5, 2, 1], vec![1.99]),
+            ]
+        );
+        let cycle_insts = m.histogram("cycle_insts", &[]);
+        assert_eq!(m.histogram_data(cycle_insts).count(), 2);
+        assert_eq!(m.histogram_data(cycle_insts).mean(), 2398.0);
+        let charge_us = m.histogram("charge_us", &[]);
+        assert_eq!(m.histogram_data(charge_us).count(), 1);
+        assert_eq!(m.histogram_data(charge_us).max(), 7.75);
     }
 }

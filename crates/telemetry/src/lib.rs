@@ -15,20 +15,24 @@
 //! * [`Event`] — the typed event taxonomy (power-cycle lifecycle, Kagura
 //!   controller decisions, cache fill outcomes, estimator samples), each
 //!   stamped with simulated time and power-cycle index ([`Stamped`]).
-//! * [`Sink`] — where stamped events go. The simulator holds
-//!   `Option<&mut Telemetry>`: the `None` default costs one untaken
+//! * [`Sink`] — where stamped events go. The event stream is the
+//!   simulator's one telemetry output: it borrows an optional
+//!   `&mut dyn Sink` for a run, and the `None` default costs one untaken
 //!   branch per event site and performs **zero** allocations, calls or
 //!   writes — experiment output is byte-identical with telemetry off.
 //!   [`NullSink`] is the trait-level no-op for generic contexts;
 //!   [`VecSink`] keeps every event in memory; [`JsonlSink`] streams one
 //!   compact JSON object per line; [`ChromeTraceSink`] builds a Chrome
-//!   trace-event file loadable in Perfetto.
+//!   trace-event file loadable in Perfetto; [`MetricsFold`] folds the
+//!   stream into a run's [`MetricsRegistry`].
 //! * [`jsonl`] — the one strict JSONL codec every observer stream
 //!   shares: dotted-path field accessors, the line writer, and the
 //!   record and framed (header … summary) readers with `line: field`
 //!   diagnostics.
 //! * [`MetricsRegistry`] — named counters, gauges and fixed-bucket
-//!   histograms, snapshotted at every power-cycle boundary.
+//!   histograms with point-in-time snapshots: a run's registry is folded
+//!   from its events ([`MetricsFold`], one snapshot per power-cycle
+//!   boundary), and the worker pool and what-if service keep their own.
 //! * [`Reservoir`] — a seeded bottom-k sample sketch whose shard merges
 //!   are exactly associative; fleet campaigns stream per-cell metrics
 //!   through it for constant-memory population quantiles and bootstrap
@@ -43,8 +47,8 @@
 //! telemetry is detached; perfbench's end-to-end `sim_mips`, measured
 //! detached, tracks that cost. Attached, telemetry leaves the
 //! simulator's host shortcuts on: a run pays for the events it records,
-//! not for a slower machine loop, and its events and metrics are
-//! byte-identical to those of the shortcut-free reference loop. It can
+//! not for a slower machine loop, and its events are byte-identical to
+//! those of the shortcut-free reference loop. It can
 //! share the run with the cache observers (cachescope, leak timeline).
 //! Span creation with spans disabled is one relaxed atomic load (labels
 //! are built lazily).
@@ -58,42 +62,9 @@ pub mod sampler;
 pub mod sink;
 pub mod spans;
 
-pub use event::{Event, FlightRecord, Registers, Stamped};
+pub use event::{Event, FlightRecord, MetricsFold, Registers, Stamped};
 pub use fixed::FixedSum;
 pub use leak::{channel_capacity_bits, mutual_information_bits, AttackStats, LatencyHistogram};
 pub use metrics::{Counter, Gauge, Histogram, HistogramId, MetricsRegistry};
 pub use sampler::{quantile_of_sorted, Reservoir};
 pub use sink::{ChromeTraceSink, JsonlSink, NullSink, Sink, VecSink};
-
-/// A sink plus the metrics registry fed alongside it: what an
-/// instrumented simulator borrows for the duration of one run.
-pub struct Telemetry<'a> {
-    sink: &'a mut dyn Sink,
-    /// Counters/gauges/histograms updated by the instrumented run and
-    /// snapshotted at every power-cycle boundary.
-    pub metrics: MetricsRegistry,
-}
-
-impl std::fmt::Debug for Telemetry<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Telemetry").field("metrics", &self.metrics).finish_non_exhaustive()
-    }
-}
-
-impl<'a> Telemetry<'a> {
-    /// Wraps `sink` with a fresh metrics registry.
-    pub fn new(sink: &'a mut dyn Sink) -> Self {
-        Telemetry { sink, metrics: MetricsRegistry::default() }
-    }
-
-    /// Stamps and records one event.
-    pub fn emit(&mut self, t_us: f64, cycle: u64, event: Event) {
-        self.sink.record(&Stamped { t_us, cycle, event });
-    }
-
-    /// Flushes the sink and returns the accumulated metrics.
-    pub fn into_metrics(self) -> MetricsRegistry {
-        self.sink.flush();
-        self.metrics
-    }
-}

@@ -20,12 +20,6 @@ use crate::jsonl;
 /// (e.g. an I/O-backed one) should hold the error and surface it from
 /// `flush`-time accessors instead of aborting a simulation mid-run.
 pub trait Sink {
-    /// `false` when recording is a no-op ([`NullSink`]); lets generic
-    /// callers skip building expensive event payloads.
-    fn enabled(&self) -> bool {
-        true
-    }
-
     /// Consumes one stamped event.
     fn record(&mut self, ev: &Stamped);
 
@@ -42,10 +36,6 @@ pub trait Sink {
 pub struct NullSink;
 
 impl Sink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
     #[inline(always)]
     fn record(&mut self, _ev: &Stamped) {}
 }
@@ -225,13 +215,6 @@ mod tests {
 
     fn ev(t_us: f64, cycle: u64, event: Event) -> Stamped {
         Stamped { t_us, cycle, event }
-    }
-
-    #[test]
-    fn null_sink_reports_disabled() {
-        let mut s = NullSink;
-        assert!(!s.enabled());
-        s.record(&ev(1.0, 0, Event::Checkpoint { blocks: 3 }));
     }
 
     #[test]
