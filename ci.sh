@@ -65,7 +65,8 @@ RESUME_CUT="$(mktemp -d)"
 FLEET_A="$(mktemp -d)"
 FLEET_B="$(mktemp -d)"
 SERVE_DIR="$(mktemp -d)"
-trap 'rm -rf "$FAULTGRID_OUT" "$LEDGER_OUT" "$CACHESCOPE_OUT" "$CACHESCOPE_BROKEN" "$LEAKSCOPE_OUT" "$RESUME_BASE" "$RESUME_CUT" "$FLEET_A" "$FLEET_B" "$SERVE_DIR"' EXIT
+CLI_OUT="$(mktemp -d)"
+trap 'rm -rf "$FAULTGRID_OUT" "$LEDGER_OUT" "$CACHESCOPE_OUT" "$CACHESCOPE_BROKEN" "$LEAKSCOPE_OUT" "$RESUME_BASE" "$RESUME_CUT" "$FLEET_A" "$FLEET_B" "$SERVE_DIR" "$CLI_OUT"' EXIT
 cargo run --release --offline -q -p kagura-bench --bin repro -- \
     faultgrid --scale 0.005 --apps sha,crc32 --out "$FAULTGRID_OUT" --quiet
 
@@ -214,6 +215,9 @@ expect_exit 2 "$SIMRUN" sha --scale 0.01 --scale nan  # usage: repeated flag
 expect_exit 2 "$TRACEGEN" gen rfhome 3 --sede 5   # usage: misspelled flag
 expect_exit 2 "$REPRO" --scael 1                  # usage: misspelled flag
 expect_exit 3 "$REPRO" nosuchexperiment           # config: unknown experiment
+expect_exit 2 "$REPRO" fig3 --scale 0.01 --scale 0.02 --out "$CLI_OUT"  # usage: repeated flag
+expect_exit 3 "$REPRO" fig13 --scale nan --apps sha --out "$CLI_OUT"    # config: NaN scale
+expect_exit 1 "$TRACEGEN" constant -5 10          # runtime: negative power, a positional
 echo "exit codes distinguish usage/config/runtime failures"
 
 echo "== serve gate (long-running what-if service) =="

@@ -11,7 +11,14 @@
 //! ```
 //!
 //! Results print as tables (with the paper's reference numbers quoted
-//! underneath) and are written as JSON under `results/`.
+//! underneath) and are written as JSON under `results/`, with sorted
+//! keys, so a file's bytes depend only on its values.
+//!
+//! The whole command line is checked before anything runs
+//! (`kagura_bench::cli::validate_args`): an unknown or repeated flag is
+//! a usage error (exit 2), and a bad `--scale` or app, checked as
+//! `simrun` checks them, a configuration error (exit 3). `--out` and
+//! `--resume` both name the output directory, so only one may be given.
 //!
 //! `--jobs N` caps concurrent simulations process-wide (default: the
 //! machine's available parallelism). Independent experiments run
@@ -64,28 +71,93 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ehs_telemetry::spans;
+use kagura_bench::cli::{validate_args, Args, CliError, FlagSpec};
 use kagura_bench::experiments::{find, ExpFn, REGISTRY};
 use kagura_bench::journal::RunJournal;
-use kagura_bench::{fsutil, ExpContext};
+use kagura_bench::{fsutil, vocab, ExpContext};
 
-/// Every flag `repro` understands, for near-miss suggestions on typos.
-const KNOWN_FLAGS: &[&str] = &[
-    "--scale",
-    "--apps",
-    "--jobs",
-    "--out",
-    "--telemetry",
-    "--resume",
-    "--job-timeout",
-    "--job-max-insts",
-    "--audit-strict",
-    "--quiet",
-    "--fleet-size",
-    "--fleet-seed",
-    "--fleet-shard",
-    "--list",
-    "--help",
+/// Everything `repro` accepts. The whole argument vector is checked
+/// against it before any experiment runs, so a misspelled or repeated
+/// flag is a usage error, never a dropped or silently overridden option.
+const FLAGS: &[FlagSpec] = &[
+    FlagSpec::value("--scale"),
+    FlagSpec::value("--apps"),
+    FlagSpec::value("--jobs"),
+    FlagSpec::value("--out"),
+    FlagSpec::value("--telemetry"),
+    FlagSpec::value("--resume"),
+    FlagSpec::value("--job-timeout"),
+    FlagSpec::value("--job-max-insts"),
+    FlagSpec::switch("--audit-strict"),
+    FlagSpec::switch("--quiet"),
+    FlagSpec::switch("-q"),
+    FlagSpec::value("--fleet-size"),
+    FlagSpec::value("--fleet-seed"),
+    FlagSpec::value("--fleet-shard"),
+    FlagSpec::switch("--list"),
+    FlagSpec::switch("-l"),
+    FlagSpec::switch("--help"),
+    FlagSpec::switch("-h"),
 ];
+
+/// The run's context from the validated flags. A bad scale or app is a
+/// configuration error, as in `simrun`; any other bad value is a usage
+/// error.
+fn context(args: &Args) -> Result<ExpContext, CliError> {
+    let mut ctx = ExpContext::default();
+    if let Some(scale) = args.number("--scale", "scale").map_err(CliError::Config)? {
+        ctx.scale = vocab::scale(scale).map_err(CliError::Config)?;
+    }
+    if let Some(spec) = args.value("--apps") {
+        let apps: Vec<_> = spec
+            .split(',')
+            .map(|name| vocab::app(name.trim()))
+            .collect::<Result<_, _>>()
+            .map_err(CliError::Config)?;
+        ctx.sens_apps = apps.clone();
+        ctx.apps = apps;
+    }
+    let integer = |flag: &str, what: &str, valid: fn(u64) -> bool| {
+        let bad = || CliError::Usage(format!("{flag} needs {what}"));
+        args.value(flag).map(|v| v.parse().ok().filter(|&n| valid(n)).ok_or_else(bad)).transpose()
+    };
+    let positive = |flag| integer(flag, "a positive integer", |n| n > 0);
+    if let Some(n) = positive("--jobs")? {
+        ehs_sim::parallel::set_max_workers(n as usize);
+    }
+    ctx.job_budget.max_executed_insts = positive("--job-max-insts")?;
+    if let Some(secs) = args.value("--job-timeout") {
+        let wall = secs.parse().ok().filter(|&s: &f64| s > 0.0);
+        let wall = wall.and_then(|s| Duration::try_from_secs_f64(s).ok()).ok_or_else(|| {
+            CliError::Usage("--job-timeout needs a positive number of seconds".into())
+        })?;
+        ctx.job_budget.max_wall = Some(wall);
+    }
+    if let Some(n) = positive("--fleet-size")? {
+        ctx.fleet.population = n;
+    }
+    if let Some(n) = positive("--fleet-shard")? {
+        ctx.fleet.shard_size = n;
+    }
+    if let Some(seed) = integer("--fleet-seed", "an unsigned integer", |_| true)? {
+        ctx.fleet.seed = seed;
+    }
+    // `--resume DIR` continues the run whose output is DIR.
+    ctx.resume = args.has("--resume");
+    match (args.value("--out"), args.value("--resume")) {
+        (Some(_), Some(_)) => {
+            return Err(CliError::Usage(
+                "`--resume DIR` is the output directory: drop `--out`".into(),
+            ))
+        }
+        (Some(dir), None) | (None, Some(dir)) => ctx.out_dir = dir.into(),
+        (None, None) => {}
+    }
+    ctx.telemetry_dir = args.value("--telemetry").map(Into::into);
+    ctx.audit_strict = args.has("--audit-strict");
+    ctx.quiet = args.has("--quiet") || args.has("-q");
+    Ok(ctx)
+}
 
 fn usage() {
     println!("usage: repro <experiment-id>... [--scale S] [--apps a,b,c] [--out DIR] [--jobs N]");
@@ -138,153 +210,28 @@ fn main() -> ExitCode {
         };
     }
 
-    let mut ids: Vec<String> = Vec::new();
-    let mut ctx = ExpContext::default();
-    let mut resume = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse::<f64>().ok()) else {
-                    eprintln!("--scale needs a positive number");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                if v <= 0.0 {
-                    eprintln!("--scale needs a positive number");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                ctx.scale = v;
-            }
-            "--apps" => {
-                i += 1;
-                let Some(spec) = args.get(i) else {
-                    eprintln!("--apps needs a comma-separated list");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                let mut apps = Vec::new();
-                for name in spec.split(',') {
-                    match kagura_bench::vocab::app(name.trim()) {
-                        Ok(a) => apps.push(a),
-                        Err(e) => {
-                            eprintln!("{e}");
-                            return ExitCode::from(EXIT_CONFIG);
-                        }
-                    }
-                }
-                ctx.apps = apps.clone();
-                ctx.sens_apps = apps;
-            }
-            "--jobs" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse::<usize>().ok()) else {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                if n == 0 {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                ehs_sim::parallel::set_max_workers(n);
-            }
-            "--out" => {
-                i += 1;
-                let Some(dir) = args.get(i) else {
-                    eprintln!("--out needs a directory");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                ctx.out_dir = dir.into();
-            }
-            "--telemetry" => {
-                i += 1;
-                let Some(dir) = args.get(i) else {
-                    eprintln!("--telemetry needs a directory");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                ctx.telemetry_dir = Some(dir.into());
-            }
-            "--resume" => {
-                i += 1;
-                let Some(dir) = args.get(i) else {
-                    eprintln!("--resume needs the results directory of the interrupted run");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                resume = true;
-                ctx.out_dir = dir.into();
-            }
-            "--job-timeout" => {
-                i += 1;
-                let Some(secs) = args.get(i).and_then(|s| s.parse::<f64>().ok()) else {
-                    eprintln!("--job-timeout needs a positive number of seconds");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                if secs <= 0.0 {
-                    eprintln!("--job-timeout needs a positive number of seconds");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                ctx.job_budget.max_wall = Some(Duration::from_secs_f64(secs));
-            }
-            "--job-max-insts" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse::<u64>().ok()) else {
-                    eprintln!("--job-max-insts needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                if n == 0 {
-                    eprintln!("--job-max-insts needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                ctx.job_budget.max_executed_insts = Some(n);
-            }
-            "--fleet-size" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse::<u64>().ok()).filter(|&n| n > 0)
-                else {
-                    eprintln!("--fleet-size needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                ctx.fleet.population = n;
-            }
-            "--fleet-seed" => {
-                i += 1;
-                let Some(s) = args.get(i).and_then(|s| s.parse::<u64>().ok()) else {
-                    eprintln!("--fleet-seed needs an unsigned integer");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                ctx.fleet.seed = s;
-            }
-            "--fleet-shard" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse::<u64>().ok()).filter(|&n| n > 0)
-                else {
-                    eprintln!("--fleet-shard needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                };
-                ctx.fleet.shard_size = n;
-            }
-            "--audit-strict" => ctx.audit_strict = true,
-            "--quiet" | "-q" => ctx.quiet = true,
-            "list" | "--list" | "-l" => {
-                list();
-                return ExitCode::SUCCESS;
-            }
-            "help" | "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            // Anything flag-shaped but unrecognized is a hard error
-            // naming the nearest valid flag — a misspelled option must
-            // not silently become an "experiment id" and fail later (or
-            // worse, be dropped while the run proceeds without it).
-            other if other.starts_with('-') => {
-                eprintln!("repro: {}", kagura_bench::cli::unknown_flag_error(other, KNOWN_FLAGS));
-                return ExitCode::from(EXIT_USAGE);
-            }
-            other => ids.push(other.to_string()),
+    let (args, ctx) = match validate_args(&args, FLAGS, usize::MAX)
+        .map_err(CliError::Usage)
+        .and_then(|args| context(&args).map(|ctx| (args, ctx)))
+    {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("repro: {e}");
+            return ExitCode::from(e.exit_code());
         }
-        i += 1;
+    };
+    let asks = |word: &str, flags: [&str; 2]| {
+        args.positionals().iter().any(|p| p == word) || flags.iter().any(|f| args.has(f))
+    };
+    if asks("list", ["--list", "-l"]) {
+        list();
+        return ExitCode::SUCCESS;
     }
-    ctx.resume = resume;
+    if asks("help", ["--help", "-h"]) {
+        usage();
+        return ExitCode::SUCCESS;
+    }
+    let mut ids = args.positionals().to_vec();
 
     if ids.iter().any(|i| i == "all") {
         ids = REGISTRY.iter().map(|&(id, _, _)| id.to_string()).collect();
@@ -317,7 +264,7 @@ fn main() -> ExitCode {
             "shard_size": ctx.fleet.shard_size,
         },
     });
-    let journal = if resume {
+    let journal = if ctx.resume {
         match RunJournal::resume(&ctx.out_dir, fingerprint) {
             Ok(j) => j,
             Err(e) => {
@@ -337,7 +284,7 @@ fn main() -> ExitCode {
             }
         }
     };
-    if resume {
+    if ctx.resume {
         match fsutil::sweep_tmp_files(&ctx.out_dir) {
             Ok(n) if n > 0 => println!("[resume] swept {n} torn .tmp file(s)"),
             Ok(_) => {}

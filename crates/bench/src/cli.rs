@@ -1,14 +1,14 @@
 //! Shared command-line parsing helpers for the harness binaries.
 //!
-//! The binaries (`repro`, `simrun`, `tracegen`) parse their flags by
-//! hand; historically a misspelled flag was *silently ignored*
-//! (`simrun`) or mis-filed as an experiment id (`repro`), so
-//! `--cachescope-peroid 100` ran a full simulation with the option
-//! simply dropped. These helpers make unknown flags a hard error that
-//! names the nearest valid flag. [`validate_args`] checks the whole
-//! argument vector up front (flag arity and repeats included) before
-//! any simulation starts, and its [`Args`] is the one place `simrun`,
-//! `simrun serve` and `tracegen` read their flags from.
+//! The binaries (`repro`, `simrun`, `tracegen`) once parsed their flags
+//! by hand, and a misspelled flag was *silently ignored* (`simrun`) or
+//! mis-filed as an experiment id (`repro`), so `--cachescope-peroid 100`
+//! ran a full simulation with the option simply dropped. These helpers
+//! make unknown flags a hard error that names the nearest valid flag.
+//! [`validate_args`] checks the whole argument vector up front (flag
+//! arity and repeats included) before any simulation starts, and its
+//! [`Args`] is the one place `repro`, `simrun`, `simrun serve` and
+//! `tracegen` read their flags from.
 
 /// A binary-level failure carrying its process exit class.
 ///
@@ -169,6 +169,7 @@ impl Args {
 /// Parses a raw argument vector against a flag table: every `--flag`
 /// must be known and given at most once, value flags must have their
 /// value, and at most `max_positionals` non-flag arguments may appear.
+/// An argument that parses as a number (`-5`) is a positional.
 ///
 /// # Errors
 ///
@@ -183,7 +184,7 @@ pub fn validate_args(
     let mut parsed = Args::default();
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
-        if arg.starts_with('-') && arg.len() > 1 {
+        if arg.starts_with('-') && arg.len() > 1 && arg.parse::<f64>().is_err() {
             let Some(spec) = flags.iter().find(|f| f.name == *arg) else {
                 return Err(unknown_flag_error(arg, &known));
             };
@@ -252,6 +253,10 @@ mod tests {
         // A value that looks numeric is consumed by its flag, not
         // mistaken for a positional.
         assert_eq!(ok(&["sha", "--scale", "-1"]).unwrap().number("--scale", "scale"), Ok(Some(-1)));
+        // Outside a flag's value, a number is a positional even when
+        // negative: it is not looked up as a flag.
+        assert_eq!(ok(&["-5"]).unwrap().positionals(), ["-5"]);
+        assert!(ok(&["-5", "-1e3"]).unwrap_err().contains("unexpected argument `-1e3`"));
         // The parsed vector: each flag once, switches without a value.
         let args = ok(&["--json", "sha", "--scale", "0.5"]).unwrap();
         assert_eq!(args.positionals(), ["sha"]);

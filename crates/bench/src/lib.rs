@@ -31,6 +31,18 @@ use ehs_sim::{SimStats, StepBudget};
 use ehs_workloads::App;
 use serde_json::Value;
 
+/// Sorts every object's keys in `value`, recursively.
+fn sort_keys(value: &mut Value) {
+    match value {
+        Value::Object(members) => {
+            members.sort_by(|(a, _), (b, _)| a.cmp(b));
+            members.iter_mut().for_each(|(_, v)| sort_keys(v));
+        }
+        Value::Array(items) => items.iter_mut().for_each(sort_keys),
+        _ => {}
+    }
+}
+
 /// Shared experiment context.
 #[derive(Debug, Clone)]
 pub struct ExpContext {
@@ -109,9 +121,11 @@ impl ExpContext {
         }
     }
 
-    /// Writes `value` as pretty JSON to `<out_dir>/<id>.json`, atomically
-    /// (tmp sibling + fsync + rename): a run killed mid-save leaves either
-    /// the previous artifact or the new one, never a torn file.
+    /// Writes `value` as pretty JSON to `<out_dir>/<id>.json`, with every
+    /// object's keys sorted so the bytes depend only on the values,
+    /// atomically (tmp sibling + fsync + rename): a run killed mid-save
+    /// leaves either the previous artifact or the new one, never a torn
+    /// file.
     ///
     /// # Panics
     ///
@@ -121,7 +135,9 @@ impl ExpContext {
         fs::create_dir_all(&self.out_dir)
             .unwrap_or_else(|e| panic!("cannot create {}: {e}", self.out_dir.display()));
         let path = self.out_dir.join(format!("{id}.json"));
-        let text = serde_json::to_string_pretty(value).expect("serializable");
+        let mut value = value.clone();
+        sort_keys(&mut value);
+        let text = serde_json::to_string_pretty(&value).expect("serializable");
         fsutil::atomic_write(&path, text.as_bytes())
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         println!("  [saved {}]", path.display());

@@ -87,6 +87,14 @@ pub fn trace_kind(name: &str) -> Result<TraceKind, String> {
     lookup("trace", &name.to_ascii_lowercase(), &TRACES)
 }
 
+/// A workload scale, which must be positive (NaN is not).
+pub fn scale(scale: f64) -> Result<f64, String> {
+    if scale.is_nan() || scale <= 0.0 {
+        return Err(format!("`scale` must be positive, got {scale}"));
+    }
+    Ok(scale)
+}
+
 /// One query as a front end names it: an app and, for every other
 /// setting, a value or `None` for Table I's (scale 1.0, the baseline
 /// governor).
@@ -124,10 +132,7 @@ impl Settings<'_> {
     /// Table I's configuration. The error names the first bad setting.
     pub fn resolve(&self) -> Result<Resolved, String> {
         let app = app(self.app)?;
-        let scale = self.scale.unwrap_or(1.0);
-        if scale.is_nan() || scale <= 0.0 {
-            return Err(format!("`scale` must be positive, got {scale}"));
-        }
+        let scale = scale(self.scale.unwrap_or(1.0))?;
         let mut cfg = SimConfig::table1();
         let mut governor = "baseline";
         if let Some(g) = self.governor {

@@ -3,13 +3,13 @@
 use std::collections::HashMap;
 
 use ehs_cache::{AccessTimeline, CacheConfig, CompressedCache, Evicted, FillOutcome};
-use ehs_compress::Compressor as _;
+use ehs_compress::{AnyCompressor, CompressedBlock, Compressor as _};
 use ehs_energy::{
     Capacitor, EnergyBreakdown, EnergyCategory, LedgerRow, PowerTrace, TraceWindow, VoltageMonitor,
 };
 use ehs_mem::Nvm;
 use ehs_model::inst::InstKind;
-use ehs_model::{Address, CompressorCost, Energy, Power, SimTime};
+use ehs_model::{Address, BlockData, CompressorCost, Energy, Power, SimTime};
 use ehs_telemetry::{Event, Sink, Stamped};
 use ehs_workloads::{InstCursor, KernelProgram};
 use kagura_core::{CompressionGovernor, Mode};
@@ -118,6 +118,21 @@ fn checkpoint_cutoff_pj(capacitance: f64, v_ckpt: f64) -> f64 {
         }
     }
     f64::from_bits(hi_bits)
+}
+
+/// A forced `CorruptPayload` fault on `data` on its way to NVM: its
+/// encoded form with payload bit `bit` (modulo the payload size) flipped,
+/// decoded again, or `None` when the mangled payload no longer decodes.
+fn flip_payload_bit(comp: &AnyCompressor, data: &BlockData, bit: u32) -> Option<BlockData> {
+    let enc = comp.compress(data.as_slice());
+    let mut payload = enc.payload().to_vec();
+    let b = bit as usize % (payload.len() * 8);
+    payload[b / 8] ^= 1 << (b % 8);
+    let mangled =
+        CompressedBlock::new(enc.algorithm(), enc.original_bytes(), payload, enc.encoded_bits());
+    let mut scratch = vec![0u8; data.len()];
+    comp.try_decompress_into(&mangled, &mut scratch).ok()?;
+    Some(BlockData::from_bytes(scratch))
 }
 
 /// What the physics of simulated time updates: the capacitor, the energy
@@ -273,14 +288,14 @@ struct Horizon {
     budget_spent: bool,
     /// The next EDBP decay scan, every [`EDBP_SCAN_PERIOD`] instructions.
     edbp_scan: Option<u64>,
-    /// The end of the live SweepCache region.
+    /// The end of the live SweepCache region ([`Persistence::region_end`]).
     sweep: Option<u64>,
     /// The next periodic cachescope occupancy snapshot.
     snapshot: Option<u64>,
 }
 
 impl Horizon {
-    fn new(cfg: &SimConfig) -> Self {
+    fn new(cfg: &SimConfig, sweep: Option<u64>) -> Self {
         let mut h = Horizon {
             at: u64::MAX,
             fault: None,
@@ -288,7 +303,7 @@ impl Horizon {
             // A zero budget is spent before the first instruction.
             budget_spent: cfg.step_budget.max_executed_insts == Some(0),
             edbp_scan: matches!(cfg.extension, Extension::Edbp { .. }).then_some(EDBP_SCAN_PERIOD),
-            sweep: (cfg.design == EhsDesign::SweepCache).then_some(cfg.costs.sweep_region),
+            sweep,
             snapshot: None,
         };
         h.recompute();
@@ -305,13 +320,101 @@ impl Horizon {
     }
 }
 
+/// How the cache's work becomes persistent, the one place the machine
+/// tells the EHS designs of paper Fig 19 apart: the voltage monitor, a
+/// store's cost, dirty write-backs, the SweepCache region ends (the
+/// [`Horizon`]'s sweep source) and what a power failure does
+/// ([`Simulator::power_failure`]).
+#[derive(Debug)]
+enum Persistence {
+    /// NVSRAMCache: a JIT checkpoint when the voltage monitor fires.
+    Checkpoint,
+    /// NvMR: a renaming buffer persists each store as it happens, for
+    /// `store` energy, so write-backs and the failure flush are free.
+    Renaming { store: Energy },
+    /// SweepCache: dirty blocks persist at region ends, and a failure
+    /// rolls back to the last one.
+    Regions(Regions),
+}
+
+impl Persistence {
+    fn new(cfg: &SimConfig) -> Self {
+        match cfg.design {
+            EhsDesign::NvsramCache => Persistence::Checkpoint,
+            EhsDesign::Nvmr => Persistence::Renaming {
+                store: cfg.system.nvm.write_energy * cfg.costs.nvmr_store_factor,
+            },
+            EhsDesign::SweepCache => Persistence::Regions(Regions::new(cfg.costs.sweep_region)),
+        }
+    }
+
+    /// Only the JIT checkpoint needs the voltage monitor's warning.
+    fn monitor(&self) -> VoltageMonitor {
+        match self {
+            Persistence::Checkpoint => VoltageMonitor::jit_checkpoint(),
+            _ => VoltageMonitor::none(),
+        }
+    }
+
+    /// The end of a region starting after `executed` instructions.
+    fn region_end(&self, executed: u64) -> Option<u64> {
+        match self {
+            Persistence::Regions(r) => Some(executed + r.live),
+            _ => None,
+        }
+    }
+
+    /// Writes an evicted dirty block back to NVM (demand traffic, which
+    /// NvMR's renaming buffer already paid for).
+    fn write_back(&self, nvm: &mut Nvm, phys: &mut Physics<'_>, e: &Evicted) {
+        if let Persistence::Renaming { .. } = self {
+            nvm.store_silent_from(e.addr, &e.data);
+        } else {
+            let w = nvm.write_block_from(e.addr, &e.data);
+            phys.spend(EnergyCategory::Memory, w.energy);
+        }
+    }
+}
+
+/// SweepCache's regions. The live size adapts to energy conditions
+/// (paper §VII-C): a cycle that dies before any region end would
+/// otherwise livelock (rollback to the same point forever), so the
+/// region halves; cycles that fit several regions let it grow back
+/// toward the configured `size`.
+#[derive(Debug)]
+struct Regions {
+    size: u64,
+    live: u64,
+    /// `inst_index` at the last region end, where a failure resumes.
+    last_persist: u64,
+    sweeps_this_cycle: u32,
+}
+
+impl Regions {
+    fn new(size: u64) -> Self {
+        Regions { size, live: size, last_persist: 0, sweeps_this_cycle: 0 }
+    }
+
+    /// The power failed: adapts the live size to the cycle just lost and
+    /// returns the instruction to resume at.
+    fn roll_back(&mut self) -> u64 {
+        if self.sweeps_this_cycle == 0 {
+            self.live = (self.live / 2).max(32);
+        } else if self.sweeps_this_cycle >= 4 && self.live < self.size {
+            self.live = (self.live + self.live / 4 + 1).min(self.size);
+        }
+        self.sweeps_this_cycle = 0;
+        self.last_persist
+    }
+}
+
 /// What a forced fault does when it fires (see [`Simulator::arm_fault`]).
 ///
 /// The first variant models the supply browning out at an instruction
 /// boundary; the other two additionally mutate the checkpoint datapath
 /// itself, for differential testing of the recovery machinery (they only
-/// have extra effect under [`EhsDesign::NvsramCache`], the one design
-/// with an explicit checkpoint — the others degrade to `PowerFailure`).
+/// have extra effect under NVSRAMCache, the one design with an explicit
+/// checkpoint — the others degrade to `PowerFailure`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// A clean forced power failure: the normal wind-down runs to
@@ -475,15 +578,9 @@ pub struct Simulator<'p> {
     comp_cost: CompressorCost,
     phys: Physics<'p>,
 
+    persistence: Persistence,
+
     inst_index: u64,
-    last_persist: u64,
-    /// SweepCache's *live* region size. Regions adapt to energy conditions
-    /// (paper §VII-C): a cycle that dies before reaching any boundary would
-    /// otherwise livelock (rollback to the same point forever), so the
-    /// region halves; cycles that comfortably fit several regions let it
-    /// grow back toward the configured size.
-    sweep_region_live: u64,
-    sweeps_this_cycle: u32,
     running: bool,
     /// Every instruction-counted boundary source and the next point.
     horizon: Horizon,
@@ -613,10 +710,8 @@ impl<'p> Simulator<'p> {
         trace: &'p PowerTrace,
         gov: Governor,
     ) -> Self {
-        let mut monitor = match cfg.design {
-            EhsDesign::NvsramCache => VoltageMonitor::jit_checkpoint(),
-            EhsDesign::Nvmr | EhsDesign::SweepCache => VoltageMonitor::none(),
-        };
+        let persistence = Persistence::new(&cfg);
+        let mut monitor = persistence.monitor();
         if gov.uses_voltage_trigger() {
             monitor = monitor.with_trigger_threshold();
         }
@@ -632,10 +727,9 @@ impl<'p> Simulator<'p> {
         let comp_cost = cfg.algorithm.default_cost();
         let shadow_i = ShadowTags::new(cfg.system.icache.num_sets(), cfg.system.icache.ways);
         let shadow_d = ShadowTags::new(cfg.system.dcache.num_sets(), cfg.system.dcache.ways);
-        let sweep_region = cfg.costs.sweep_region;
         let initial_stored = cap.stored();
         let budget_armed = !cfg.step_budget.is_unlimited();
-        let horizon = Horizon::new(&cfg);
+        let horizon = Horizon::new(&cfg, persistence.region_end(0));
         Simulator {
             cfg,
             program,
@@ -653,10 +747,8 @@ impl<'p> Simulator<'p> {
                 now: SimTime::ZERO,
                 window: TraceWindow::new(trace),
             },
+            persistence,
             inst_index: 0,
-            last_persist: 0,
-            sweep_region_live: sweep_region,
-            sweeps_this_cycle: 0,
             running: true,
             horizon,
             wall_start: None,
@@ -724,6 +816,11 @@ impl<'p> Simulator<'p> {
     /// decompressions.
     fn run_and_flush(&mut self) {
         self.run_loop();
+        self.flush_silently();
+    }
+
+    /// Copies every dirty DCache block to NVM at no cost.
+    fn flush_silently(&mut self) {
         let nvm = &mut self.nvm;
         self.dcache.for_each_dirty(|addr, data, _| nvm.store_silent_from(addr, data));
     }
@@ -1303,21 +1400,7 @@ impl<'p> Simulator<'p> {
             if e.was_compressed {
                 self.spend(EnergyCategory::Decompress, self.comp_cost.decompress_energy);
             }
-            self.writeback(e);
-        }
-    }
-
-    /// Writes an evicted dirty block back to NVM (demand traffic).
-    fn writeback(&mut self, e: &Evicted) {
-        match self.cfg.design {
-            EhsDesign::Nvmr => {
-                // Already persisted incrementally by the renaming buffer.
-                self.nvm.store_silent_from(e.addr, &e.data);
-            }
-            _ => {
-                let w = self.nvm.write_block_from(e.addr, &e.data);
-                self.spend(EnergyCategory::Memory, w.energy);
-            }
+            self.persistence.write_back(&mut self.nvm, &mut self.phys, e);
         }
     }
 
@@ -1413,10 +1496,8 @@ impl<'p> Simulator<'p> {
                 cycles += self.data_access(addr, Some(value), ctx);
                 self.cycle.stores += 1;
                 self.gov.on_mem_commit();
-                if self.cfg.design == EhsDesign::Nvmr {
-                    // Renaming buffer persists the store incrementally.
-                    let e = self.cfg.system.nvm.write_energy * self.cfg.costs.nvmr_store_factor;
-                    self.spend(EnergyCategory::Memory, e);
+                if let Persistence::Renaming { store } = self.persistence {
+                    self.spend(EnergyCategory::Memory, store);
                 }
             }
         }
@@ -1600,134 +1681,92 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// SweepCache: persist dirty blocks at a region boundary.
-    fn sweep(&mut self) {
-        // The drain visits blocks in place; energy is spent inline (the
-        // closure captures the physics disjointly from the cache) so the
-        // accounting order matches a block-by-block drain.
-        let phys = &mut self.phys;
-        let nvm = &mut self.nvm;
+    /// The SweepCache sweep and the JIT checkpoint: persists every dirty
+    /// DCache block in place, decompressing each compressed one first and
+    /// spending inline (the closure captures the physics disjointly from
+    /// the cache). `injected` mutates the datapath (`None` in real runs).
+    /// Returns the blocks written, the blocks dropped as undecodable (a
+    /// detected fault) and the summed write latency.
+    fn drain_dirty(&mut self, injected: Option<FaultKind>) -> (u32, u32, SimTime) {
+        let (phys, nvm) = (&mut self.phys, &mut self.nvm);
         let decompress_energy = self.comp_cost.decompress_energy;
-        let mut blocks = 0u32;
+        let clock_hz = self.cfg.system.core.clock_hz;
+        let (mut blocks, mut decode_faults, mut latency) = (0u32, 0u32, SimTime::ZERO);
+        let (mut torn_limit, mut corrupt) = (u32::MAX, None);
+        match injected {
+            Some(FaultKind::TornCheckpoint { persist_blocks }) => torn_limit = persist_blocks,
+            Some(FaultKind::CorruptPayload { bit }) => {
+                corrupt = Some((bit, self.dcache.compressor().clone()));
+            }
+            _ => {}
+        }
         self.dcache.for_each_dirty(|addr, data, was_compressed| {
+            if blocks >= torn_limit {
+                return; // power died mid-checkpoint: block lost
+            }
             if was_compressed {
                 phys.spend(EnergyCategory::Decompress, decompress_energy);
             }
+            // The first compressed block leaves with a flipped payload
+            // bit; one that no longer decodes is dropped.
+            let flipped = corrupt
+                .take_if(|_| was_compressed)
+                .map(|(bit, comp)| flip_payload_bit(&comp, data, bit));
+            let Some(data) = flipped.as_ref().map_or(Some(data), Option::as_ref) else {
+                decode_faults += 1;
+                return;
+            };
             let w = nvm.write_block_from(addr, data);
             phys.spend(EnergyCategory::CheckpointRestore, w.energy);
+            latency += SimTime::from_seconds(w.latency.get() as f64 / clock_hz);
             blocks += 1;
         });
+        (blocks, decode_faults, latency)
+    }
+
+    /// SweepCache: persist dirty blocks at a region end. The sweep
+    /// charges energy only, no time.
+    fn sweep(&mut self) {
+        let (blocks, ..) = self.drain_dirty(None);
         self.spend(EnergyCategory::CheckpointRestore, self.cfg.costs.sweep_boundary);
         if let Some(events) = self.events.as_mut() {
             events.flight.ckpt_blocks += blocks as u64;
             events.emit(self.phys.now.micros(), self.cycles_done, Event::Checkpoint { blocks });
         }
-        self.last_persist = self.inst_index;
-        self.horizon.sweep = Some(self.stats.executed_insts + self.sweep_region_live);
-        self.sweeps_this_cycle += 1;
+        if let Persistence::Regions(regions) = &mut self.persistence {
+            regions.last_persist = self.inst_index;
+            regions.sweeps_this_cycle += 1;
+        }
+        self.horizon.sweep = self.persistence.region_end(self.stats.executed_insts);
     }
 
     /// The voltage monitor fired (or the supply browned out), or a forced
     /// fault is firing (`injected`): wind down.
     fn power_failure(&mut self, injected: Option<FaultKind>) {
-        let mut ckpt_blocks = 0u32;
-        let mut decode_faults = 0u32;
-        match self.cfg.design {
-            EhsDesign::NvsramCache => {
+        let checkpoint = match self.persistence {
+            Persistence::Checkpoint => {
                 // JIT checkpoint: dirty blocks + registers to NVM/NVFF.
-                // Blocks are visited in place and energy spent inline (see
-                // `sweep` for the capture pattern) — the checkpoint path
-                // copies nothing per block.
-                let phys = &mut self.phys;
-                let nvm = &mut self.nvm;
-                let comp = self.dcache.compressor().clone();
-                let decompress_energy = self.comp_cost.decompress_energy;
-                let clock_hz = self.cfg.system.core.clock_hz;
-                let mut ckpt_time = SimTime::ZERO;
-                let blocks = &mut ckpt_blocks;
-                let faults = &mut decode_faults;
-                // Injected checkpoint-path mutations (None in real runs).
-                let torn_limit = match injected {
-                    Some(FaultKind::TornCheckpoint { persist_blocks }) => Some(persist_blocks),
-                    _ => None,
-                };
-                let mut corrupt_bit = match injected {
-                    Some(FaultKind::CorruptPayload { bit }) => Some(bit),
-                    _ => None,
-                };
-                self.dcache.for_each_dirty(|addr, data, was_compressed| {
-                    if torn_limit.is_some_and(|limit| *blocks >= limit) {
-                        return; // power died mid-checkpoint: block lost
-                    }
-                    if was_compressed {
-                        phys.spend(EnergyCategory::Decompress, decompress_energy);
-                    }
-                    if was_compressed && corrupt_bit.is_some() {
-                        // The injected datapath fault mangles this block's
-                        // encoded form on its way out. A decode failure is
-                        // *detected* (the block is dropped, not persisted);
-                        // a flip that still decodes writes mangled bytes.
-                        let bit = corrupt_bit.take().expect("checked is_some");
-                        let enc = comp.compress(data.as_slice());
-                        let mut payload = enc.payload().to_vec();
-                        let b = bit as usize % (payload.len() * 8);
-                        payload[b / 8] ^= 1 << (b % 8);
-                        let mangled = ehs_compress::CompressedBlock::new(
-                            enc.algorithm(),
-                            enc.original_bytes(),
-                            payload,
-                            enc.encoded_bits(),
-                        );
-                        let mut scratch = vec![0u8; data.len()];
-                        match comp.try_decompress_into(&mangled, &mut scratch) {
-                            Ok(()) => {
-                                let block = ehs_model::BlockData::from_bytes(scratch);
-                                let w = nvm.write_block_from(addr, &block);
-                                phys.spend(EnergyCategory::CheckpointRestore, w.energy);
-                                ckpt_time +=
-                                    SimTime::from_seconds(w.latency.get() as f64 / clock_hz);
-                                *blocks += 1;
-                            }
-                            Err(_) => *faults += 1,
-                        }
-                        return;
-                    }
-                    let w = nvm.write_block_from(addr, data);
-                    phys.spend(EnergyCategory::CheckpointRestore, w.energy);
-                    ckpt_time += SimTime::from_seconds(w.latency.get() as f64 / clock_hz);
-                    *blocks += 1;
-                });
+                let (blocks, decode_faults, latency) = self.drain_dirty(injected);
                 self.spend(EnergyCategory::CheckpointRestore, self.cfg.costs.checkpoint_fixed);
-                self.phys.now += ckpt_time;
+                self.phys.now += latency;
+                Some((blocks, decode_faults))
             }
-            EhsDesign::Nvmr => {
+            Persistence::Renaming { .. } => {
                 // Stores are already persistent; write back silently for
                 // functional coherence only.
-                let nvm = &mut self.nvm;
-                self.dcache.for_each_dirty(|addr, data, _| nvm.store_silent_from(addr, data));
+                self.flush_silently();
+                None
             }
-            EhsDesign::SweepCache => {
-                // Work since the last boundary is lost; dirty blocks are
-                // dropped and those instructions re-execute after reboot.
-                self.inst_index = self.last_persist;
-                // Adaptive region sizing (§VII-C): never persisting within
-                // a cycle means zero forward progress — shrink; several
-                // boundaries per cycle means headroom — grow back.
-                if self.sweeps_this_cycle == 0 {
-                    self.sweep_region_live = (self.sweep_region_live / 2).max(32);
-                } else if self.sweeps_this_cycle >= 4
-                    && self.sweep_region_live < self.cfg.costs.sweep_region
-                {
-                    self.sweep_region_live =
-                        (self.sweep_region_live + self.sweep_region_live / 4 + 1)
-                            .min(self.cfg.costs.sweep_region);
-                }
-                self.sweeps_this_cycle = 0;
-                // The region restarts at the rollback point.
-                self.horizon.sweep = Some(self.stats.executed_insts + self.sweep_region_live);
+            Persistence::Regions(ref mut regions) => {
+                // Work since the last region end is lost: dirty blocks are
+                // dropped, and a new region re-executes it after reboot.
+                self.inst_index = regions.roll_back();
+                self.horizon.sweep = self.persistence.region_end(self.stats.executed_insts);
                 self.horizon.recompute();
+                None
             }
-        }
+        };
+        let (ckpt_blocks, decode_faults) = checkpoint.unwrap_or((0, 0));
         self.icache.invalidate_all();
         self.dcache.invalidate_all();
         // After the invalidations so the cycle's power-loss evictions are
@@ -1750,7 +1789,7 @@ impl<'p> Simulator<'p> {
         // (its index is the number already recorded, pushed just below):
         // checkpoint, decode faults, the governor's, then the flight
         // record and the failure itself.
-        if self.cfg.design == EhsDesign::NvsramCache {
+        if checkpoint.is_some() {
             self.emit(Event::Checkpoint { blocks: ckpt_blocks });
         }
         if decode_faults > 0 {
@@ -1885,6 +1924,36 @@ mod tests {
         let stamp = (boundary[4].cycle, boundary[4].t_us.to_bits());
         assert!(stamp.0 > 0);
         assert!(boundary.iter().all(|e| (e.cycle, e.t_us.to_bits()) == stamp));
+    }
+
+    #[test]
+    fn regions_adapt_their_live_size_to_the_cycle_lost() {
+        let mut regions = Regions::new(100);
+        // A power cycle that reached `sweeps` region ends, then failed.
+        let cycle = |regions: &mut Regions, sweeps: u32| {
+            if sweeps > 0 {
+                regions.last_persist = 1000 + sweeps as u64;
+            }
+            regions.sweeps_this_cycle = sweeps;
+            let resume = regions.roll_back();
+            assert_eq!(regions.sweeps_this_cycle, 0, "the next cycle counts afresh");
+            (resume, regions.live)
+        };
+        // A cycle that reaches no region end halves the live size, down
+        // to a floor of 32, and resumes where the last region ended.
+        assert_eq!(cycle(&mut regions, 0), (0, 50));
+        assert_eq!(cycle(&mut regions, 0), (0, 32));
+        assert_eq!(cycle(&mut regions, 0), (0, 32));
+        // Up to three region ends keep it; the rollback returns the last.
+        assert_eq!(cycle(&mut regions, 3), (1003, 32));
+        // Four or more grow it by a quarter plus one, up to the
+        // configured size.
+        for live in [41, 52, 66, 83, 100, 100] {
+            assert_eq!(cycle(&mut regions, 4), (1004, live));
+        }
+        assert_eq!(cycle(&mut regions, 1), (1001, 100));
+        assert_eq!(cycle(&mut regions, 0), (1001, 50));
+        assert_eq!(Persistence::Regions(regions).region_end(7), Some(57));
     }
 
     #[test]
